@@ -1,14 +1,14 @@
 """Golden regression tests.
 
-Exact cycle counts for small fixed-seed runs of every mechanism, plus
-exact command-by-command SDRAM schedules for the paper's Figure 1
+Exact cycle counts for small fixed-seed runs of every Table 4 mechanism,
+plus exact command-by-command SDRAM schedules for the paper's Figure 1
 scenario (checked into ``tests/goldens/``).  Any behavioural change to
 the schedulers, the device model, the CPU model or the workload
 generators moves these; the failure message tells a developer
 precisely which mechanism drifted.  (Unlike the shape assertions in
 benchmarks/, these values are *expected* to change when the model is
-intentionally improved — update them consciously, with
-``REPRO_REGEN_GOLDENS=1`` for the trace files.)
+intentionally improved — update them consciously: by hand for
+``GOLDEN_CYCLES``, with ``REPRO_REGEN_GOLDENS=1`` for the trace files.)
 """
 
 import os
@@ -31,7 +31,24 @@ from repro.workloads.spec2000 import make_benchmark_trace
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
 #: (benchmark, mechanism) -> mem_cycles for 1500 accesses, seed 1.
-GOLDEN_CYCLES = {}
+GOLDEN_CYCLES = {
+    ("swim", "BkInOrder"): 11154,
+    ("swim", "RowHit"): 7238,
+    ("swim", "Intel"): 7804,
+    ("swim", "Intel_RP"): 7680,
+    ("swim", "Burst"): 7781,
+    ("swim", "Burst_RP"): 7722,
+    ("swim", "Burst_WP"): 6671,
+    ("swim", "Burst_TH"): 6524,
+    ("gcc", "BkInOrder"): 11020,
+    ("gcc", "RowHit"): 7918,
+    ("gcc", "Intel"): 7541,
+    ("gcc", "Intel_RP"): 7564,
+    ("gcc", "Burst"): 7312,
+    ("gcc", "Burst_RP"): 7258,
+    ("gcc", "Burst_WP"): 6950,
+    ("gcc", "Burst_TH"): 6321,
+}
 
 
 def _run(bench, mechanism):
@@ -51,6 +68,17 @@ def measured():
         for bench in ("swim", "gcc")
         for mech in mechanisms
     }
+
+
+def test_golden_cycle_counts(measured):
+    """Every (benchmark, mechanism) cell hits its exact cycle count."""
+    drifted = {
+        cell: (GOLDEN_CYCLES[cell], cycles)
+        for cell, cycles in measured.items()
+        if cycles != GOLDEN_CYCLES[cell]
+    }
+    assert set(measured) == set(GOLDEN_CYCLES)
+    assert not drifted, f"(golden, measured) mem_cycles drifted: {drifted}"
 
 
 def test_goldens_are_self_consistent(measured):
