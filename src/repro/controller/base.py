@@ -26,6 +26,11 @@ import heapq
 from typing import Dict, List, Tuple
 
 from repro.controller.access import EnqueueStatus, MemoryAccess
+from repro.controller.flatcore import (
+    KIND_ACTIVATE,
+    KIND_COLUMN,
+    KIND_PRECHARGE,
+)
 from repro.controller.pool import AccessPool
 from repro.controller.rowpolicy import RowPolicyPredictor
 from repro.dram.channel import Channel
@@ -103,29 +108,15 @@ class Scheduler(abc.ABC):
         self._gate_until = -1
         self._gate_cmds = -1
         self._gate_pool = -1
-        #: Set by ``MemorySystem.tick`` before a schedule pass whose
-        #: predecessor already ran over the same frozen state: the
-        #: mechanism should min-track, over its blocked candidates,
-        #: the earliest cycle one could issue and leave it in
-        #: ``_pass_wake``.  Mechanisms that do not implement hint
-        #: tracking simply ignore both fields and the gate arming
-        #: falls back to a :meth:`next_wakeup` call.
-        self._want_hint = False
+        #: Left by a no-issue schedule pass: the min, over its blocked
+        #: candidates, of the earliest cycle one could issue; the gate
+        #: arms with it.  Mechanisms that do not track it leave -1 and
+        #: the gate arming falls back to a :meth:`next_wakeup` call.
         self._pass_wake = -1
         #: Pass-cost profiler hook (None unless ``REPRO_PROFILE=1``):
-        #: flat-path passes count candidates examined vs timing
+        #: :meth:`_flat_earliest` counts candidates examined vs timing
         #: recomputations into it (see SimProfiler.sched_candidates).
         self._prof = _profile.ensure_profiler()
-        # Timing locals for the flat hot paths (attribute chains cost).
-        timing = channel.timing
-        self._tCL = timing.tCL
-        self._tCWL = timing.tCWL
-        self._tRTRS = timing.tRTRS
-        self._tFAW = timing.tFAW
-        #: True on bank-group devices (DDR4/DDR5): the flat column
-        #: branches must also consult ``Rank.column_gate`` (tCCD_L /
-        #: tWTR_L).  Hoisted so single-group devices pay one boolean.
-        self._bg = timing.bank_groups > 1
 
     # ------------------------------------------------------------------
     # Enqueue path (paper Figure 4 for burst scheduling; the write-queue
@@ -230,13 +221,12 @@ class Scheduler(abc.ABC):
         return NEVER
 
     def earliest_issue_cycle(self, access: MemoryAccess, cycle: int) -> int:
-        """First cycle :meth:`can_issue_access` can turn true for
-        ``access``, assuming no command issues in between.
+        """First cycle (``>= cycle``) the access's next transaction is
+        unblocked, assuming no command issues in between.
 
-        The mirror of :meth:`can_issue_access`: every timing gate is a
-        monotone threshold on the cycle number, so with device state
-        frozen the earliest legal cycle is exact.  ``NEVER`` is
-        returned when only an *event* can unblock the transaction — a
+        The device ``next_*`` queries are exact (every timing gate is a
+        monotone threshold on the cycle number).  ``NEVER`` is returned
+        when only an *event* can unblock the transaction — a
         WAR-blocked write column (cleared by the older read's
         completion) or an activate fenced off by a pending refresh
         (cleared when the refresh engine issues).
@@ -246,114 +236,66 @@ class Scheduler(abc.ABC):
         if kind is COLUMN:
             if access.is_write and self._reads_by_addr.get(access.address):
                 return NEVER
-            return max(
-                cycle,
-                channel.next_column_at(
-                    access.rank, access.bank, access.row, access.is_read
-                ),
+            ready = channel.next_column_at(
+                access.rank, access.bank, access.row, access.is_read
             )
-        if kind is PRECHARGE:
-            return max(
-                cycle, channel.next_precharge_at(access.rank, access.bank)
+        elif kind is PRECHARGE:
+            ready = channel.next_precharge_at(access.rank, access.bank)
+        else:
+            ready = channel.next_activate_at(
+                access.rank, access.bank, access.row
             )
-        return max(
-            cycle,
-            channel.next_activate_at(access.rank, access.bank, access.row),
-        )
+        return ready if ready > cycle else cycle
 
     def _flat_earliest(self, flat, i: int, access, cycle: int) -> int:
         """:meth:`earliest_issue_cycle` through the flat mirror's cache.
 
         Identical result, different cost model: the device-timing part
-        (next command kind + bank/rank readiness — everything that only
-        moves when a command or refresh touches the owning bank/rank)
-        is cached in ``flat.kind[i]``/``flat.core[i]`` under the
-        devices' write-version stamps, so on most passes a candidate is
-        a couple of list reads.  The per-pass parts — WAR blocking and
-        the shared data-bus turnaround, which change with *other*
-        banks' traffic — are recomputed every call.  (The Burst and
-        Intel passes inline this same protocol to fuse it with their
-        selection loops; keep all three in lockstep.)
+        (next command kind + the rank's ``next_*_ready`` plus its
+        refresh window — everything that only moves when a command or
+        refresh touches the owning bank/rank) is cached in
+        ``flat.kind[i]``/``flat.core[i]`` under the devices'
+        write-version stamps, so on most passes a candidate is a couple
+        of list reads.  The per-pass parts — WAR blocking and the shared
+        data-bus turnaround, which change with *other* banks' traffic —
+        are recomputed every call.
         """
         bank = flat.banks[i]
         rank = flat.ranks[i]
+        prof = self._prof
         if flat.bstamp[i] == bank.ver and flat.rstamp[i] == rank.ver:
             kind = flat.kind[i]
             core = flat.core[i]
-            if self._prof is not None:
-                self._prof.sched_candidates += 1
-                self._prof.sched_bitset_hits += 1
+            if prof is not None:
+                prof.sched_candidates += 1
+                prof.sched_bitset_hits += 1
         else:
             row = bank.open_row
             if row == access.row:
-                kind = 1  # column
-                core = bank.ready_column
-                if access.is_read and rank.ready_read > core:
-                    core = rank.ready_read
-                if self._bg:
-                    gate = rank.column_gate(bank.index, access.is_read)
-                    if gate > core:
-                        core = gate
+                kind = KIND_COLUMN
+                core = rank.next_column_ready(
+                    access.bank, row, access.is_read
+                )
             elif row is not None:
-                kind = 2  # precharge
-                core = bank.ready_precharge
-            elif rank.refresh_pending:
-                kind = 3  # activate fenced off until the refresh issues
-                core = NEVER
-            elif bank.refresh_pending and (
-                bank.pending_subarray is None
-                or bank.pending_subarray == access.subarray
-            ):
-                # A per-bank refresh is due in this bank: activates to
-                # the refreshing subarray (or the whole bank without
-                # SARP) are fenced until the REFpb issues — an event,
-                # so NEVER rather than a cycle.
-                kind = 3
-                core = NEVER
+                kind = KIND_PRECHARGE
+                core = rank.next_precharge_ready(access.bank)
             else:
-                kind = 3  # activate
-                core = rank.ready_activate
-                if bank.ready_activate > core:
-                    core = bank.ready_activate
-                pb_busy = bank.refresh_busy_until
-                if pb_busy > core and (
-                    bank.refreshing_subarray is None
-                    or bank.refreshing_subarray == access.subarray
-                ):
-                    core = pb_busy  # open per-bank refresh window
-                tFAW = self._tFAW
-                if tFAW is not None:
-                    times = rank._activate_times
-                    if len(times) == 4 and times[0] + tFAW > core:
-                        core = times[0] + tFAW
+                kind = KIND_ACTIVATE
+                core = rank.next_activate_ready(access.bank, access.row)
             if rank.refresh_busy_until > core:
                 core = rank.refresh_busy_until
             flat.kind[i] = kind
             flat.core[i] = core
             flat.bstamp[i] = bank.ver
             flat.rstamp[i] = rank.ver
-            if self._prof is not None:
-                self._prof.sched_candidates += 1
-                self._prof.sched_timing_checks += 1
-        if kind == 1:
+            if prof is not None:
+                prof.sched_candidates += 1
+                prof.sched_timing_checks += 1
+        if kind == KIND_COLUMN:
             is_read = access.is_read
             if not is_read and self._reads_by_addr.get(access.address):
                 return NEVER  # WAR: only the read's completion unblocks
-            channel = self.channel
-            bus_rank = channel._last_data_rank
-            if bus_rank is None:
-                gap = 0
-            elif bus_rank != access.rank:
-                gap = self._tRTRS
-            elif channel._last_data_is_read is not is_read:
-                gap = 1
-            else:
-                gap = 0
-            t = (
-                channel.data_busy_until
-                + gap
-                - (self._tCL if is_read else self._tCWL)
-            )
+            t = self.channel.data_bus_ready(access.rank, is_read)
             if core > t:
                 t = core
             return t if t > cycle else cycle
@@ -424,7 +366,6 @@ class Scheduler(abc.ABC):
         self._gate_until = -1
         self._gate_cmds = -1
         self._gate_pool = -1
-        self._want_hint = False
         self._pass_wake = -1
         self._load_mech_state(state["mech"], ctx)
 
@@ -458,19 +399,7 @@ class Scheduler(abc.ABC):
         Includes the WAR guard: a write's column access may not issue
         while an older read to the same address is still queued.
         """
-        kind = self.next_command_kind(access)
-        channel = self.channel
-        if kind is COLUMN:
-            if access.is_write and self._reads_by_addr.get(access.address):
-                return False
-            return channel.can_column_at(
-                cycle, access.rank, access.bank, access.row, access.is_read
-            )
-        if kind is PRECHARGE:
-            return channel.can_precharge_at(cycle, access.rank, access.bank)
-        return channel.can_activate_at(
-            cycle, access.rank, access.bank, access.row
-        )
+        return self.earliest_issue_cycle(access, cycle) <= cycle
 
     def issue_for(self, access: MemoryAccess, cycle: int) -> str:
         """Issue the access's next transaction; returns its kind.

@@ -5,7 +5,7 @@ per-bank candidate state next to the object model: one slot per bank of
 the owning channel, parallel integer arrays indexed by slot, and plain
 int bitmasks over slots.  The object model stays authoritative — the
 flat mirror is a cache, rebuilt deterministically on checkpoint load —
-but a fast-mode schedule pass touches only:
+but a schedule pass touches only:
 
 * ``occupied`` — a bitset of slots whose bank has an ongoing candidate,
   so empty banks cost nothing (O(set bits), not O(banks));
@@ -23,8 +23,7 @@ but a fast-mode schedule pass touches only:
 
 Age keys compose ``(is_write, arrival, slot)`` into a single int, so
 equal-age ties (same arrival, same direction) break toward the lowest
-slot — exactly the stable-``min``-over-``iter_banks``-order the object
-path computes.
+slot — the stable ``min`` over :meth:`Channel.iter_banks` order.
 """
 
 from __future__ import annotations
@@ -64,8 +63,8 @@ class FlatSlots:
 
     One slot per bank, numbered ``rank_index * banks_per_rank +
     bank_index`` — the exact order :meth:`Channel.iter_banks` yields, so
-    ascending-bit iteration over any slot mask visits banks in the same
-    order every object-path loop does.
+    ascending-bit iteration over any slot mask visits banks in the
+    channel's bank order.
     """
 
     __slots__ = (

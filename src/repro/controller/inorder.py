@@ -41,8 +41,8 @@ class BkInOrderScheduler(Scheduler):
         self._rr = 0
         self._pending = 0
         # Flat mirror of the queue heads: the candidate set IS the set
-        # of nonempty queues, so the fast pass walks an occupancy
-        # bitset with stamp-cached timing instead of every bank dict.
+        # of nonempty queues, so the pass walks an occupancy bitset
+        # with stamp-cached timing instead of every bank dict.
         self._flat = FlatSlots(channel)
         self._bpr = channel.banks_per_rank
 
@@ -114,42 +114,11 @@ class BkInOrderScheduler(Scheduler):
         The scan starts at the round-robin pointer so every bank gets
         an equal share of command slots; the pointer advances past a
         bank when its current access's data transfer is scheduled.
-        """
-        if self._want_hint:
-            self._schedule_flat(cycle)
-            return
-        keys = self._bank_keys
-        n = len(keys)
-        for offset in range(n):
-            index = (self._rr + offset) % n
-            queue = self._queues[keys[index]]
-            if not queue:
-                continue
-            head = queue[0]
-            # Strict order: even a WAR-blocked write head simply waits
-            # (its older same-address read is ahead of it anyway).
-            if not self.can_issue_access(head, cycle):
-                continue
-            kind = self.issue_for(head, cycle)
-            if kind is COLUMN:
-                queue.popleft()
-                self._pending -= 1
-                if queue:
-                    self._flat.bind(index, queue[0])
-                else:
-                    self._flat.clear(index)
-                self._rr = (index + 1) % n
-            return
-        self._pass_wake = -1
-
-    def _schedule_flat(self, cycle: int) -> None:
-        """Fast-mode pass: the same round-robin scan over a bitset.
-
-        Byte-identical to the sequential body — occupied slots ARE the
-        nonempty queues, visited in the same rotated order, and each
-        head's stamp-cached earliest-issue cycle is the exact mirror
-        of ``can_issue_access``.  A no-issue scan leaves the blocked
-        heads' min in ``_pass_wake`` to arm the no-op schedule gate.
+        Strict order: even a WAR-blocked write head simply waits (its
+        older same-address read is ahead of it anyway).  Occupied flat
+        slots ARE the nonempty queues, visited in rotated order; a
+        no-issue scan leaves the blocked heads' min in ``_pass_wake``
+        to arm the no-op schedule gate.
         """
         flat = self._flat
         occ = flat.occupied

@@ -58,14 +58,8 @@ class IntelScheduler(Scheduler):
         # marks nonempty read queues, ``_wq_mask``/``_wq_counts`` track
         # which banks the shared write queue holds writes for, and
         # ``_wmask`` marks slots whose ongoing access is a write (the
-        # preemption candidates).  Only ``_schedule_flat`` (fast mode)
-        # reads them; the sequential reference path never does.
-        timing = channel.timing
+        # preemption candidates).
         self._bpr = channel.banks_per_rank
-        self._tCL = timing.tCL
-        self._tCWL = timing.tCWL
-        self._tRTRS = timing.tRTRS
-        self._tFAW = timing.tFAW
         self._flat = FlatSlots(channel)
         self._rq = 0
         self._wmask = 0
@@ -164,82 +158,6 @@ class IntelScheduler(Scheduler):
                     return access
         return queue[0]
 
-    def _reads_pending(self) -> bool:
-        return any(self._read_queues.values())
-
-    def _select_write_for(self, key: BankKey) -> Optional[MemoryAccess]:
-        """The head of the shared write queue, if it targets ``key``.
-
-        The single write queue drains in order from its head: only one
-        write is a candidate at a time, so writes to different banks
-        never drain in parallel.  This serialisation — a consequence
-        of the patent's single shared write queue — is a key reason
-        Intel's scheduling trails burst scheduling's per-bank write
-        queues when the write queue backs up.
-        """
-        for access in self._write_queue:
-            if self.write_is_war_blocked(access):
-                continue
-            if any(
-                o is access for o in self._ongoing.values() if o is not None
-            ):
-                return None
-            return access if access.bank_key() == key else None
-        return None
-
-    def _select_any_write_for(self, key: BankKey) -> Optional[MemoryAccess]:
-        """Oldest drainable write aimed at ``key`` (emergency drain)."""
-        for access in self._write_queue:
-            if access.bank_key() != key:
-                continue
-            if self.write_is_war_blocked(access):
-                continue
-            return access
-        return None
-
-    def _update_ongoing(self) -> None:
-        """Refill empty bank slots; apply read preemption if enabled.
-
-        Reads come first, but a bank with no queued reads drains the
-        oldest shared-queue write aimed at it — Intel is opportunistic
-        per bank, which is why its write queue saturates less than
-        burst scheduling's (24% vs 46% on swim, §5.1) at the price of
-        write traffic interleaving with other banks' reads.  A full
-        write queue forces writes ahead of reads everywhere.
-        """
-        if self.pool.write_queue_full:
-            self._drain_mode = True
-        elif self.pool.write_count <= self._low_watermark:
-            self._drain_mode = False
-        force_writes = self._drain_mode
-        for key, ongoing in self._ongoing.items():
-            if (
-                self.read_preemption
-                and ongoing is not None
-                and ongoing.is_write
-                and self._read_queues[key]
-                and not force_writes
-            ):
-                # The write has not transferred data yet (it would have
-                # left the ongoing slot), so it simply returns to the
-                # write queue; bank state it created persists.
-                ongoing.preempted = True
-                self.stats.preemptions += 1
-                self._ongoing[key] = ongoing = None
-            if ongoing is not None:
-                continue
-            if force_writes:
-                # Emergency drain: a full write queue stalls the CPU,
-                # so every bank drains its oldest write in parallel.
-                selected = self._select_any_write_for(
-                    key
-                ) or self._select_read(key)
-            else:
-                selected = self._select_read(key) or self._select_write_for(
-                    key
-                )
-            self._ongoing[key] = selected
-
     def next_wakeup(self, cycle: int) -> int:
         """Exact wakeup: earliest any bank's ongoing access can issue.
 
@@ -267,76 +185,42 @@ class IntelScheduler(Scheduler):
     # Transaction-level issue: started accesses first, then oldest
     # ------------------------------------------------------------------
 
-    def schedule(self, cycle: int) -> None:
-        # Fast mode goes through the flat mirror (same selection, same
-        # priorities, property-tested byte-identical); this body is the
-        # readable sequential reference.
-        if self._want_hint:
-            self._schedule_flat(cycle)
-            return
-        self._update_ongoing()
-        candidates = [a for a in self._ongoing.values() if a is not None]
-        if not candidates:
-            return
-        candidates.sort(
-            key=lambda a: (
-                a.start_cycle is None,
-                a.arrival if a.start_cycle is None else a.start_cycle,
-            )
-        )
-        for access in candidates:
-            if not self.can_issue_access(access, cycle):
-                continue
-            kind = self.issue_for(access, cycle)
-            if kind is COLUMN:
-                key = access.bank_key()
-                self._ongoing[key] = None
-                if access.is_read:
-                    self._read_queues[key].remove(access)
-                else:
-                    self._write_queue.remove(access)
-                self._pending -= 1
-            return
+    def _update_ongoing(self) -> None:
+        """Refill empty bank slots; apply read preemption if enabled.
 
-    def _schedule_flat(self, cycle: int) -> None:
-        """Fast-mode pass over the flat mirror.
+        Reads come first, but a bank with no queued reads drains the
+        shared queue's head write when it is aimed at it — Intel is
+        opportunistic per bank, which is why its write queue saturates
+        less than burst scheduling's (24% vs 46% on swim, §5.1) at the
+        price of write traffic interleaving with other banks' reads.
+        A full write queue forces writes ahead of reads everywhere.
 
-        Byte-identical to the sequential body by construction:
-
-        * the refill only visits slots with material and no ongoing
-          access (a bitset), and resolves the shared write queue's
-          head *once* per pass — valid because ``_ongoing[k]`` always
-          targets bank ``k`` (every refill filters on ``bank_key``),
-          so "is the queue head already started" is one identity
-          check, and only the head's own bank can ever receive it;
-        * candidate selection replaces the stable sort + first-
-          issuable scan with a single min over issuable slots of the
-          composed key ``(unstarted, start-or-arrival, slot)`` — the
-          same total order the sort produces, ties resolved by slot
-          exactly as the insertion-ordered candidate list did;
-        * device-timing earliests are cached against bank/rank version
-          stamps; the blocked candidates' min lands in ``_pass_wake``
-          so gate arming needs no separate :meth:`next_wakeup` scan.
+        The refill only visits slots with material and no ongoing
+        access (a bitset), and resolves the shared write queue's head
+        *once* per pass — valid because ``_ongoing[k]`` always targets
+        bank ``k`` (every refill filters on ``bank_key``), so "is the
+        queue head already started" is one identity check, and only
+        the head's own bank can ever receive it.
         """
         # The drain hysteresis folds over the *global* pool occupancy,
         # which other channels move while this one idles — update it on
         # every executed pass (the gate's write_version stamp guarantees
         # a pass runs whenever the count changes), even with nothing
-        # pending, or the stored mode goes stale versus the object path.
+        # pending, or the stored mode goes stale.
         pool = self.pool
         if pool.write_queue_full:
             self._drain_mode = True
         elif pool.write_count <= self._low_watermark:
             self._drain_mode = False
-        if not self._pending:
-            self._pass_wake = NEVER
-            return
         force_writes = self._drain_mode
         flat = self._flat
         acc = flat.acc
         keys = flat.keys
         ongoing = self._ongoing
         if self.read_preemption and not force_writes:
+            # The write has not transferred data yet (it would have left
+            # the ongoing slot), so it simply returns to the write
+            # queue; bank state it created persists.
             m = self._wmask & self._rq
             while m:
                 b = m & -m
@@ -348,164 +232,88 @@ class IntelScheduler(Scheduler):
                 ongoing[keys[i]] = None
                 self._flat_clear(i)
         need = (self._rq | self._wq_mask) & ~flat.occupied
-        if need:
+        if not need:
+            return
+        if force_writes:
+            # Emergency drain: a full write queue stalls the CPU, so
+            # every bank drains its oldest drainable write in parallel;
+            # one queue scan builds them all.
+            drain = {}
+            rba = self._reads_by_addr
+            bpr = self._bpr
+            for w in self._write_queue:
+                slot = w.rank * bpr + w.bank
+                if slot not in drain and not rba.get(w.address):
+                    drain[slot] = w
+        else:
+            # The shared queue drains in order from its first non-WAR
+            # write; if that write is already started it blocks the
+            # queue for everyone.  Writes to different banks never
+            # drain in parallel — a consequence of the patent's single
+            # shared write queue, and a key reason Intel trails burst
+            # scheduling's per-bank write queues when writes back up.
+            head = None
+            head_slot = -1
+            rba = self._reads_by_addr
+            for w in self._write_queue:
+                if not rba.get(w.address):
+                    head = w
+                    break
+            if head is not None:
+                head_slot = head.rank * self._bpr + head.bank
+                if ongoing[keys[head_slot]] is head:
+                    head = None
+                    head_slot = -1
+        while need:
+            b = need & -need
+            need ^= b
+            i = b.bit_length() - 1
             if force_writes:
-                # Emergency drain: every bank takes its oldest
-                # drainable write; one queue scan builds them all.
-                drain = None
-                m = need
-                while m:
-                    b = m & -m
-                    m ^= b
-                    i = b.bit_length() - 1
-                    if drain is None:
-                        drain = {}
-                        rba = self._reads_by_addr
-                        bpr = self._bpr
-                        for w in self._write_queue:
-                            slot = w.rank * bpr + w.bank
-                            if slot not in drain and not rba.get(w.address):
-                                drain[slot] = w
-                    selected = drain.get(i)
-                    if selected is None:
-                        selected = self._select_read(keys[i])
-                    if selected is not None:
-                        ongoing[keys[i]] = selected
-                        self._flat_set(i, selected)
-            else:
-                # The shared queue drains in order from its first
-                # non-WAR write; if that write is already started it
-                # blocks the queue for everyone.
-                head = None
-                head_slot = -1
-                rba = self._reads_by_addr
-                for w in self._write_queue:
-                    if not rba.get(w.address):
-                        head = w
-                        break
-                if head is not None:
-                    head_slot = head.rank * self._bpr + head.bank
-                    if ongoing[keys[head_slot]] is head:
-                        head = None
-                        head_slot = -1
-                m = need
-                while m:
-                    b = m & -m
-                    m ^= b
-                    i = b.bit_length() - 1
+                selected = drain.get(i)
+                if selected is None:
                     selected = self._select_read(keys[i])
-                    if selected is None and i == head_slot:
-                        selected = head
-                    if selected is not None:
-                        ongoing[keys[i]] = selected
-                        self._flat_set(i, selected)
+            else:
+                selected = self._select_read(keys[i])
+                if selected is None and i == head_slot:
+                    selected = head
+            if selected is not None:
+                ongoing[keys[i]] = selected
+                self._flat_set(i, selected)
+
+    def schedule(self, cycle: int) -> None:
+        """Refill the bank slots, then issue the best candidate.
+
+        The issued candidate is the min over issuable slots of the
+        composed key ``(unstarted, start-or-arrival, slot)``: accesses
+        already started first, then the oldest, ties to the lowest
+        slot.  Earliest-issue cycles come from :meth:`_flat_earliest`;
+        the blocked candidates' min lands in ``_pass_wake`` so gate
+        arming needs no separate :meth:`next_wakeup` scan.
+        """
+        self._update_ongoing()
+        flat = self._flat
+        acc = flat.acc
+        keys = flat.keys
+        ongoing = self._ongoing
         occ = flat.occupied
         if not occ:
             self._pass_wake = NEVER
             return
-        banks = flat.banks
-        ranks = flat.ranks
-        kinds = flat.kind
-        cores = flat.core
-        bst = flat.bstamp
-        rst = flat.rstamp
         ready = flat.ready
-        channel = self.channel
-        busy = channel.data_busy_until
-        bus_rank = channel._last_data_rank
-        bus_read = channel._last_data_is_read
-        tCL = self._tCL
-        tCWL = self._tCWL
-        tRTRS = self._tRTRS
-        tFAW = self._tFAW
-        bg = self._bg
-        reads_by_addr = self._reads_by_addr
+        flat_earliest = self._flat_earliest
         vec = flat.use_numpy
-        never = NEVER
         slot_bits = flat._slot_bits
         unstarted_bias = 1 << 61
         best_key = 0
         best_i = -1
-        wake = never
-        checks = 0
+        wake = NEVER
         m = occ
         while m:
             b = m & -m
             m ^= b
             i = b.bit_length() - 1
             a = acc[i]
-            bank = banks[i]
-            rank = ranks[i]
-            if bst[i] == bank.ver and rst[i] == rank.ver:
-                kind = kinds[i]
-                core = cores[i]
-            else:
-                checks += 1
-                row = bank.open_row
-                if row == a.row:
-                    kind = 1  # column
-                    core = bank.ready_column
-                    if a.is_read and rank.ready_read > core:
-                        core = rank.ready_read
-                    if bg:
-                        gate = rank.column_gate(bank.index, a.is_read)
-                        if gate > core:
-                            core = gate
-                elif row is not None:
-                    kind = 2  # precharge
-                    core = bank.ready_precharge
-                elif rank.refresh_pending:
-                    kind = 3  # activate fenced off until refresh issues
-                    core = never
-                elif bank.refresh_pending and (
-                    bank.pending_subarray is None
-                    or bank.pending_subarray == a.subarray
-                ):
-                    kind = 3  # fenced by a due per-bank refresh
-                    core = never
-                else:
-                    kind = 3  # activate
-                    core = rank.ready_activate
-                    if bank.ready_activate > core:
-                        core = bank.ready_activate
-                    pb_busy = bank.refresh_busy_until
-                    if pb_busy > core and (
-                        bank.refreshing_subarray is None
-                        or bank.refreshing_subarray == a.subarray
-                    ):
-                        core = pb_busy  # open per-bank refresh window
-                    if tFAW is not None:
-                        times = rank._activate_times
-                        if len(times) == 4 and times[0] + tFAW > core:
-                            core = times[0] + tFAW
-                if rank.refresh_busy_until > core:
-                    core = rank.refresh_busy_until
-                kinds[i] = kind
-                cores[i] = core
-                bst[i] = bank.ver
-                rst[i] = rank.ver
-            if kind == 1:
-                is_read = a.is_read
-                if not is_read and reads_by_addr.get(a.address):
-                    t = never  # WAR: only the read's completion unblocks
-                else:
-                    if bus_rank is None:
-                        gap = 0
-                    elif bus_rank != a.rank:
-                        gap = tRTRS
-                    elif bus_read is not is_read:
-                        gap = 1
-                    else:
-                        gap = 0
-                    t = busy + gap - (tCL if is_read else tCWL)
-                    if core > t:
-                        t = core
-                    if t < cycle:
-                        t = cycle
-            elif core > cycle:
-                t = core
-            else:
-                t = cycle
+            t = flat_earliest(flat, i, a, cycle)
             ready[i] = t
             if t <= cycle:
                 sc = a.start_cycle
@@ -518,12 +326,6 @@ class IntelScheduler(Scheduler):
                     best_i = i
             elif not vec and t < wake:
                 wake = t
-        prof = self._prof
-        if prof is not None:
-            n = bin(occ).count("1")
-            prof.sched_candidates += n
-            prof.sched_timing_checks += checks
-            prof.sched_bitset_hits += n - checks
         if best_i < 0:
             self._pass_wake = flat.min_ready() if vec else wake
             return

@@ -17,6 +17,7 @@ utilisation, write-queue saturation).
 from __future__ import annotations
 
 import os
+from time import perf_counter
 from typing import Callable, List, Optional, Union
 
 from repro.controller.access import AccessType, EnqueueStatus, MemoryAccess
@@ -191,24 +192,32 @@ class MemorySystem:
         completion due, the schedulers' selection state idempotent —
         so only the per-cycle statistics sampling remains, which
         :meth:`skip_to` reproduces exactly.
+
+        With ``REPRO_PROFILE=1`` the same loop also attributes wall
+        time to refresh, schedule, completions and sampling; every
+        profiler hook sits behind the local ``prof`` check.
         """
         cycle = self.cycle
         if cycle < self._quiet_until:
             self.skip_to(cycle + 1)
             self._tick_active = False
             return []
-        if self._profiler is not None:
-            return self._tick_profiled()
+        prof = self._profiler
         stats = self.stats
         pool = self.pool
         fast = self._fastfwd
         completed: List[MemoryAccess] = []
         active = False
         for scheduler, channel, refresher, pool_sens in self._units:
+            if prof is not None:
+                t0 = perf_counter()
             if fast and cycle < refresher.idle_until:
                 refreshed = False
             else:
                 refreshed = refresher.tick(cycle)
+            if prof is not None:
+                t1 = perf_counter()
+                prof.add_time("refresh", t1 - t0)
             if not refreshed:
                 # Frozen: nothing this scheduler can see changed since
                 # its stamps were recorded (no own-channel command, no
@@ -220,9 +229,10 @@ class MemorySystem:
                     or scheduler._gate_pool == pool.write_version
                 )
                 if frozen and scheduler._gate_until > cycle:
-                    pass  # proven no-op schedule pass
+                    # Proven no-op schedule pass.
+                    if prof is not None:
+                        prof.gated_passes += 1
                 else:
-                    scheduler._want_hint = fast
                     scheduler.schedule(cycle)
                     if fast and channel.last_command_cycle != cycle:
                         # No-issue pass: stamp the state it saw and arm
@@ -237,24 +247,38 @@ class MemorySystem:
                         scheduler._gate_until = wake
                         scheduler._gate_cmds = channel.cmd_bus_cycles
                         scheduler._gate_pool = pool.write_version
+                    if prof is not None:
+                        t2 = perf_counter()
+                        prof.add_time("schedule", t2 - t1)
+                        t1 = t2
             if channel.last_command_cycle == cycle:
                 active = True
+                if prof is not None:
+                    prof.commands += 1
             # Same check pop_completions starts with, without the call:
             # on most cycles the heap head is not due yet.
             heap = scheduler._completions
             if heap and heap[0][0] <= cycle:
                 done = scheduler.pop_completions(cycle)
+                if prof is not None:
+                    prof.add_time("completions", perf_counter() - t1)
+                    prof.completions += len(done)
                 if done:
                     completed.extend(done)
                     active = True
         # Per-cycle sampling for the outstanding-access distributions
         # (Figures 8/11) and the saturation metrics (§5.1).
-        stats.outstanding_reads.add(self.pool.read_count)
-        stats.outstanding_writes.add(self.pool.write_count)
-        if self.pool.write_queue_full:
+        if prof is not None:
+            t0 = perf_counter()
+        stats.outstanding_reads.add(pool.read_count)
+        stats.outstanding_writes.add(pool.write_count)
+        if pool.write_queue_full:
             stats.write_queue_full_cycles += 1
-        if self.pool.full:
+        if pool.full:
             stats.pool_full_cycles += 1
+        if prof is not None:
+            prof.add_time("sampling", perf_counter() - t0)
+            prof.note_tick()
         self._tick_active = active
         self.cycle = cycle + 1
         self._after_tick(active)
@@ -269,74 +293,6 @@ class MemorySystem:
         # Quiet tick: let the (throttled) lookout decide whether the
         # window is worth computing; it arms _quiet_until on success.
         self.next_event_cycle(self.cycle)
-
-    def _tick_profiled(self) -> List[MemoryAccess]:
-        """:meth:`tick` with per-component wall-time attribution.
-
-        Must stay in lockstep with :meth:`tick` — the extra
-        ``perf_counter`` reads are the only difference.
-        """
-        from time import perf_counter
-
-        prof = self._profiler
-        cycle = self.cycle
-        stats = self.stats
-        pool = self.pool
-        fast = self._fastfwd
-        completed: List[MemoryAccess] = []
-        active = False
-        for scheduler, channel, refresher, pool_sens in self._units:
-            t0 = perf_counter()
-            if fast and cycle < refresher.idle_until:
-                refreshed = False
-            else:
-                refreshed = refresher.tick(cycle)
-            t1 = perf_counter()
-            prof.add_time("refresh", t1 - t0)
-            if not refreshed:
-                frozen = scheduler._gate_cmds == channel.cmd_bus_cycles and (
-                    not pool_sens
-                    or scheduler._gate_pool == pool.write_version
-                )
-                if frozen and scheduler._gate_until > cycle:
-                    prof.gated_passes += 1
-                else:
-                    scheduler._want_hint = fast
-                    scheduler.schedule(cycle)
-                    if fast and channel.last_command_cycle != cycle:
-                        wake = scheduler._pass_wake
-                        if wake <= cycle:
-                            wake = scheduler.next_wakeup(cycle)
-                        scheduler._gate_until = wake
-                        scheduler._gate_cmds = channel.cmd_bus_cycles
-                        scheduler._gate_pool = pool.write_version
-                    t2 = perf_counter()
-                    prof.add_time("schedule", t2 - t1)
-                    t1 = t2
-            if channel.last_command_cycle == cycle:
-                active = True
-                prof.commands += 1
-            heap = scheduler._completions
-            if heap and heap[0][0] <= cycle:
-                done = scheduler.pop_completions(cycle)
-                prof.add_time("completions", perf_counter() - t1)
-                if done:
-                    completed.extend(done)
-                    active = True
-                    prof.completions += len(done)
-        t0 = perf_counter()
-        stats.outstanding_reads.add(self.pool.read_count)
-        stats.outstanding_writes.add(self.pool.write_count)
-        if self.pool.write_queue_full:
-            stats.write_queue_full_cycles += 1
-        if self.pool.full:
-            stats.pool_full_cycles += 1
-        prof.add_time("sampling", perf_counter() - t0)
-        prof.note_tick()
-        self._tick_active = active
-        self.cycle = cycle + 1
-        self._after_tick(active)
-        return completed
 
     # ------------------------------------------------------------------
     # Next-event time skipping

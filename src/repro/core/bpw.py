@@ -36,14 +36,13 @@ write queue never saturates (e.g. the read-dominated ``mcf``) are
 byte-identical to Burst_TH.  Row-hit selection reuses
 ``_oldest_row_hit_write``, the same primitive line 5 piggybacking
 already evaluates inside ``_arbitrate``, so the policy adds no new
-state-sensitivity to either engine path.
+state-sensitivity to the schedule pass.
 
 Mode flips only when ``pool.write_count`` crosses full or empty, and
 every write-count change bumps the pool's write version, which
 un-gates a pool-sensitive scheduler — so recomputing the flag at the
-top of :meth:`schedule` covers the sequential *and* the flat engine
-path (``schedule`` dispatches to ``_schedule_flat``) without any
-extra wake plumbing.
+top of :meth:`schedule` covers both engine modes without any extra
+wake plumbing.
 """
 
 from __future__ import annotations
@@ -106,9 +105,9 @@ class BankParallelWriteScheduler(BurstScheduler):
         crossing the threshold (bumps the pool's write version).
         Selecting a drain write while reads are already queued and the
         occupancy is already below the threshold would make preemption
-        eligible at selection time: the sequential engine preempts on
-        the very next cycle, while the flat engine sleeps until some
-        unrelated wake.  Burst_TH cannot hit this (its pressure and
+        eligible at selection time: the sequential loop preempts on
+        the very next cycle, while the gated fast engine sleeps until
+        some unrelated wake.  Burst_TH cannot hit this (its pressure and
         piggyback writes are only selected at or above the threshold),
         so the guard restores exactly that invariant for the batch.
         """

@@ -26,9 +26,9 @@ single-stream differential harnesses unchanged:
   banks concurrently serving one tenant's read bursts at
   ``banks_in_channel // sources``; at a burst boundary an over-budget
   tenant's burst yields to the oldest burst of the least-granted
-  tenant.  Selection goes through the shared
+  tenant.  Selection goes through the Figure 5 arbiter's
   :meth:`~repro.core.scheduler.BurstScheduler._select_read_burst`
-  hook, so the sequential and flat-mirror arbiters stay byte-identical.
+  hook.
 """
 
 from __future__ import annotations

@@ -4,10 +4,10 @@ This module wires the three subroutines of the paper's algorithm:
 
 * *access enter queue* (Figure 4) — runs in ``_enqueue_read`` /
   ``_enqueue_write`` on top of the base class's write-queue search;
-* *bank arbiter* (Figure 5) — :meth:`BurstScheduler._arbitrate`, one
-  invocation per bank per cycle, selecting each bank's ongoing access
-  with read preemption and write piggybacking controlled by the static
-  threshold;
+* *bank arbiter* (Figure 5) — :meth:`BurstScheduler._arbitrate`, run
+  per bank per cycle (skipped where it provably cannot change the
+  selection), selecting each bank's ongoing access with read
+  preemption and write piggybacking controlled by the static threshold;
 * *transaction scheduler* (Table 2 / Figure 6) —
   :meth:`BurstScheduler.schedule`, issuing one unblocked transaction
   per cycle by static priority.
@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.controller.access import MemoryAccess
 from repro.controller.base import COLUMN, Scheduler
-from repro.controller.flatcore import FlatSlots
+from repro.controller.flatcore import KIND_COLUMN, FlatSlots
 from repro.core.burst import BurstQueue
 from repro.sim.profile import NEVER
 
@@ -81,11 +81,10 @@ class BurstScheduler(Scheduler):
             key: True for key in self._read_queues
         }
         self._bank_keys: List[BankKey] = list(self._read_queues)
-        # Banks with any queued or ongoing access.  schedule() iterates
-        # _bank_keys filtered by this set instead of rebuilding full
-        # candidate scans over every (mostly empty) bank each cycle;
-        # filtering against the fixed key order preserves the original
-        # scan order, which the oldest-first tie-breaks depend on.
+        # Banks with any queued or ongoing access (``_mat`` is its
+        # bitset twin).  Scans iterate _bank_keys filtered by this set,
+        # which keeps the fixed key order the oldest-first tie-breaks
+        # depend on.
         self._active_keys = set()
         self._last_bank: Optional[BankKey] = None
         self._last_rank: Optional[int] = None
@@ -105,14 +104,8 @@ class BurstScheduler(Scheduler):
         # slots whose ongoing access is a write (the RP candidates),
         # and ``_flat`` caches each ongoing access's next transaction
         # kind + device-timing earliest against Bank/Rank version
-        # stamps.  Only ``_schedule_flat`` (fast mode) reads them; the
-        # sequential reference path below never does.
-        timing = channel.timing
+        # stamps.
         self._bpr = channel.banks_per_rank
-        self._tCL = timing.tCL
-        self._tCWL = timing.tCWL
-        self._tRTRS = timing.tRTRS
-        self._tFAW = timing.tFAW
         self._flat = FlatSlots(channel)
         self._mat = 0
         self._rq = 0
@@ -282,9 +275,8 @@ class BurstScheduler(Scheduler):
     def _select_read_burst(self, key: BankKey, reads: BurstQueue, cycle: int):
         """Pick the burst to serve when Figure 5 selects a read.
 
-        Called at the line-8 selection and the line-9 preemption sites,
-        for both the sequential and the flat-mirror arbiter (they share
-        :meth:`_arbitrate`).  The paper's mechanism always serves the
+        Called at the line-8 selection and the line-9 preemption sites
+        of :meth:`_arbitrate`.  The paper's mechanism always serves the
         oldest burst; the QoS budget variant overrides this to
         round-robin burst grants across sources.
         """
@@ -472,100 +464,17 @@ class BurstScheduler(Scheduler):
         return wake
 
     def schedule(self, cycle: int) -> None:
-        # Fast mode goes through the flat mirror: same arbiter, same
-        # priorities, O(set bits) instead of O(banks) with cached
-        # timing.  The sequential reference body below is the
-        # readable, object-walking statement of Table 2 / Figure 6
-        # that the flat pass is property-tested against.
-        if self._want_hint and self.use_priority_table:
-            self._schedule_flat(cycle)
-            return
-        if not self._pending:
-            self._pass_wake = NEVER
-            return  # nothing queued or ongoing anywhere
-        active = self._active_keys
-        for key in self._bank_keys:
-            if key in active:
-                self._arbitrate(key, cycle)
-        if not self.use_priority_table:
-            self._pass_wake = -1  # ablation path computes no hint
-            self._schedule_naive(cycle)
-            return
+        """Figure 5 arbiter + Table 2 / Figure 6 transaction scheduler.
 
-        # Gather each bank's ongoing access with its next transaction
-        # kind and unblocked status (paper §3.3).
-        ongoing = self._ongoing
-        unblocked: List[Tuple[BankKey, MemoryAccess, str]] = []
-        for key in self._bank_keys:
-            if key not in active:
-                continue
-            access = ongoing[key]
-            if access is None:
-                continue
-            if self.can_issue_access(access, cycle):
-                unblocked.append((key, access, self.next_command_kind(access)))
-        if not unblocked:
-            self._pass_wake = -1
-            # Figure 6 lines 14-15: point the scheduler at the bank
-            # holding the oldest ongoing access so its rank is favoured
-            # next cycle.
-            oldest = None
-            for key in self._bank_keys:
-                if key not in active:
-                    continue
-                access = ongoing[key]
-                if access is not None and (
-                    oldest is None or access.arrival < oldest[1].arrival
-                ):
-                    oldest = (key, access)
-            if oldest is not None:
-                self._last_bank = oldest[0]
-                self._last_rank = oldest[0][0]
-            return
-
-        def age(entry):
-            _, access, _ = entry
-            return (access.is_write, access.arrival)
-
-        # 1: unblocked column access in the last bank.
-        for entry in unblocked:
-            key, access, kind = entry
-            if kind is COLUMN and key == self._last_bank:
-                self._issue_and_retire(key, access, cycle)
-                return
-        # 2: oldest unblocked column access in the last rank.
-        same_rank = [
-            e for e in unblocked
-            if e[2] is COLUMN and e[0][0] == self._last_rank
-        ]
-        if same_rank:
-            key, access, _ = min(same_rank, key=age)
-            self._issue_and_retire(key, access, cycle)
-            return
-        # 3: oldest unblocked precharge or row activate (no data bus).
-        overhead = [e for e in unblocked if e[2] is not COLUMN]
-        if overhead:
-            key, access, _ = min(overhead, key=age)
-            self._issue_and_retire(key, access, cycle)
-            return
-        # 4: oldest unblocked column access in other ranks.
-        key, access, _ = min(unblocked, key=age)
-        self._issue_and_retire(key, access, cycle)
-
-    def _schedule_flat(self, cycle: int) -> None:
-        """Fast-mode transaction scheduler over the flat mirror.
-
-        Semantically identical to the sequential body of
-        :meth:`schedule` — same Figure 5 arbiter, same Table 2 /
-        Figure 6 priorities, property-tested byte-identical — but:
+        One pass over the flat mirror:
 
         * the arbiter runs only for slots it can actually change
           (no ongoing access, or a preemptible write-ongoing slot with
-          queued reads while RP is armed);
-        * each candidate's earliest-issue cycle reuses the cached
-          device-timing part unless the owning bank/rank ``ver`` stamp
-          moved (the per-pass parts — data bus, WAR — are recomputed
-          always, they change without any bank/rank mutation);
+          queued reads while RP is armed) — on every other slot it is
+          a no-op;
+        * each candidate's earliest-issue cycle comes from
+          :meth:`_flat_earliest` (stamp-cached device timing, per-pass
+          data bus and WAR);
         * ``earliest <= cycle`` classifies candidates into column /
           overhead bitsets, and the priority picks resolve through the
           age matrix instead of ``min()`` over tuples;
@@ -573,6 +482,9 @@ class BurstScheduler(Scheduler):
           ``_pass_wake`` (vectorized via :meth:`FlatSlots.min_ready`
           on wide channels), arming the schedule gate exactly.
         """
+        if not self.use_priority_table:
+            self._schedule_naive(cycle)
+            return
         if not self._pending:
             self._pass_wake = NEVER
             return
@@ -597,112 +509,25 @@ class BurstScheduler(Scheduler):
                 else:
                     self._flat_set(i, a)
         occ = flat.occupied
-        banks = flat.banks
-        ranks = flat.ranks
         kinds = flat.kind
-        cores = flat.core
-        bst = flat.bstamp
-        rst = flat.rstamp
         ready = flat.ready
-        channel = self.channel
-        busy = channel.data_busy_until
-        bus_rank = channel._last_data_rank
-        bus_read = channel._last_data_is_read
-        tCL = self._tCL
-        tCWL = self._tCWL
-        tRTRS = self._tRTRS
-        tFAW = self._tFAW
-        bg = self._bg
-        reads_by_addr = self._reads_by_addr
+        flat_earliest = self._flat_earliest
         vec = flat.use_numpy
-        never = NEVER
         col_mask = 0
         ovh_mask = 0
-        wake = never
+        wake = NEVER
         oldest_i = -1
         oldest_arr = 0
-        checks = 0
         m = occ
         while m:
             b = m & -m
             m ^= b
             i = b.bit_length() - 1
             a = acc[i]
-            bank = banks[i]
-            rank = ranks[i]
-            if bst[i] == bank.ver and rst[i] == rank.ver:
-                kind = kinds[i]
-                core = cores[i]
-            else:
-                checks += 1
-                row = bank.open_row
-                if row == a.row:
-                    kind = 1  # column
-                    core = bank.ready_column
-                    if a.is_read and rank.ready_read > core:
-                        core = rank.ready_read
-                    if bg:
-                        gate = rank.column_gate(bank.index, a.is_read)
-                        if gate > core:
-                            core = gate
-                elif row is not None:
-                    kind = 2  # precharge
-                    core = bank.ready_precharge
-                elif rank.refresh_pending:
-                    kind = 3  # activate fenced off until refresh issues
-                    core = never
-                elif bank.refresh_pending and (
-                    bank.pending_subarray is None
-                    or bank.pending_subarray == a.subarray
-                ):
-                    kind = 3  # fenced by a due per-bank refresh
-                    core = never
-                else:
-                    kind = 3  # activate
-                    core = rank.ready_activate
-                    if bank.ready_activate > core:
-                        core = bank.ready_activate
-                    pb_busy = bank.refresh_busy_until
-                    if pb_busy > core and (
-                        bank.refreshing_subarray is None
-                        or bank.refreshing_subarray == a.subarray
-                    ):
-                        core = pb_busy  # open per-bank refresh window
-                    if tFAW is not None:
-                        times = rank._activate_times
-                        if len(times) == 4 and times[0] + tFAW > core:
-                            core = times[0] + tFAW
-                if rank.refresh_busy_until > core:
-                    core = rank.refresh_busy_until
-                kinds[i] = kind
-                cores[i] = core
-                bst[i] = bank.ver
-                rst[i] = rank.ver
-            if kind == 1:
-                is_read = a.is_read
-                if not is_read and reads_by_addr.get(a.address):
-                    t = never  # WAR: only the read's completion unblocks
-                else:
-                    if bus_rank is None:
-                        gap = 0
-                    elif bus_rank != a.rank:
-                        gap = tRTRS
-                    elif bus_read is not is_read:
-                        gap = 1
-                    else:
-                        gap = 0
-                    t = busy + gap - (tCL if is_read else tCWL)
-                    if core > t:
-                        t = core
-                    if t < cycle:
-                        t = cycle
-            elif core > cycle:
-                t = core
-            else:
-                t = cycle
+            t = flat_earliest(flat, i, a, cycle)
             ready[i] = t
             if t <= cycle:
-                if kind == 1:
+                if kinds[i] == KIND_COLUMN:
                     col_mask |= b
                 else:
                     ovh_mask |= b
@@ -712,12 +537,6 @@ class BurstScheduler(Scheduler):
             if oldest_i < 0 or arr < oldest_arr:
                 oldest_i = i
                 oldest_arr = arr
-        prof = self._prof
-        if prof is not None:
-            n = bin(occ).count("1")
-            prof.sched_candidates += n
-            prof.sched_timing_checks += checks
-            prof.sched_bitset_hits += n - checks
         if not (col_mask | ovh_mask):
             self._pass_wake = flat.min_ready() if vec else wake
             # Figure 6 lines 14-15: favour the oldest ongoing access's
@@ -762,6 +581,14 @@ class BurstScheduler(Scheduler):
         Intel (§4.2); the priority-table ablation benchmark measures
         what Table 2 is worth.
         """
+        if not self._pending:
+            self._pass_wake = NEVER
+            return  # nothing queued or ongoing anywhere
+        active = self._active_keys
+        for key in self._bank_keys:
+            if key in active:
+                self._arbitrate(key, cycle)
+        self._pass_wake = -1  # no hint: the gate asks next_wakeup
         keys = self._bank_keys
         n = len(keys)
         for offset in range(n):

@@ -7,8 +7,10 @@ updated by previously issued commands — have been reached.
 
 The bank never decides anything; it only validates and applies commands
 the controller issues, raising :class:`~repro.errors.ProtocolError` on
-violations.  Schedulers must consult ``can_*`` before issuing, which is
-exactly the paper's notion of a transaction being *unblocked* (§3.3).
+violations.  The ``next_*_ready`` queries are the single readiness
+truth: each returns the first cycle its command becomes legal with the
+bank frozen, and each ``can_*`` check — the paper's notion of a
+transaction being *unblocked* (§3.3) — is ``next_* <= cycle``.
 """
 
 from __future__ import annotations
@@ -82,7 +84,10 @@ class Bank:
         self.column_count = 0
 
     # ------------------------------------------------------------------
-    # Legality checks ("is this transaction unblocked at cycle t?")
+    # Readiness ("from which cycle is this transaction unblocked?").
+    # Every timing gate is a monotone threshold on the cycle number, so
+    # with frozen bank state the earliest legal cycle is exact; NEVER
+    # means only a state change (a command) could enable it.
     # ------------------------------------------------------------------
 
     def subarray_of(self, row: Optional[int]) -> Optional[int]:
@@ -112,51 +117,20 @@ class Bank:
             or subarray == self.pending_subarray
         )
 
-    def can_activate(self, cycle: int, subarray: Optional[int] = None) -> bool:
-        """True when a row activate may issue this cycle.
-
-        ``subarray`` (of the row being opened) refines the per-bank
-        refresh gates: a SARP refresh window or pending SARP refresh
-        blocks only its own subarray.
-        """
-        if self.state is not BankState.IDLE or cycle < self.ready_activate:
-            return False
-        if self.refresh_pending and self._pending_excludes(subarray):
-            return False
-        if cycle < self.refresh_busy_until and self._refresh_excludes(subarray):
-            return False
-        return True
-
-    def can_column(self, cycle: int, row: int) -> bool:
-        """True when a column access to ``row`` may issue this cycle.
-
-        Requires the bank to be active with ``row`` open and tRCD/tCCD
-        satisfied.  Data bus availability is checked by the channel.
-        """
-        return (
-            self.state is BankState.ACTIVE
-            and self.open_row == row
-            and cycle >= self.ready_column
-        )
-
-    def can_precharge(self, cycle: int) -> bool:
-        """True when the open row may be closed this cycle (tRAS etc.)."""
-        return self.state is BankState.ACTIVE and cycle >= self.ready_precharge
-
-    # ------------------------------------------------------------------
-    # Earliest-ready queries (next-event engine)
-    # ------------------------------------------------------------------
-    # Each mirrors the matching can_* check: it returns the first cycle
-    # at which that check can become true *given frozen bank state*, or
-    # NEVER when only a state change (a command) could enable it.  All
-    # timing gates are monotone thresholds, so the answer is exact.
-
     def next_activate_ready(self, subarray: Optional[int] = None) -> int:
-        """Earliest cycle :meth:`can_activate` can turn true."""
+        """Earliest cycle a row activate may issue (``NEVER``: only a
+        command can enable it).
+
+        Requires a precharged bank past its activate gate.  ``subarray``
+        (of the row being opened) refines the per-bank refresh gates: a
+        SARP refresh window or pending SARP refresh blocks only its own
+        subarray.  A pending REFpb maps to ``NEVER`` — the REFpb command
+        itself clears it.
+        """
         if self.state is not BankState.IDLE:
             return NEVER
         if self.refresh_pending and self._pending_excludes(subarray):
-            return NEVER  # cleared by the REFpb command itself
+            return NEVER
         ready = self.ready_activate
         if (
             self.refresh_busy_until > ready
@@ -166,40 +140,40 @@ class Bank:
         return ready
 
     def next_column_ready(self, row: int) -> int:
-        """Earliest cycle :meth:`can_column` for ``row`` can turn true."""
+        """Earliest cycle a column access to ``row`` may issue.
+
+        Requires the bank to be active with ``row`` open and tRCD/tCCD
+        satisfied.  Data bus availability is checked by the channel.
+        """
         if self.state is BankState.ACTIVE and self.open_row == row:
             return self.ready_column
         return NEVER
 
     def next_precharge_ready(self) -> int:
-        """Earliest cycle :meth:`can_precharge` can turn true."""
+        """Earliest cycle the open row may be closed (tRAS etc.)."""
         return self.ready_precharge if self.state is BankState.ACTIVE else NEVER
+
+    def can_activate(self, cycle: int, subarray: Optional[int] = None) -> bool:
+        return self.next_activate_ready(subarray) <= cycle
+
+    def can_column(self, cycle: int, row: int) -> bool:
+        return self.next_column_ready(row) <= cycle
+
+    def can_precharge(self, cycle: int) -> bool:
+        return self.next_precharge_ready() <= cycle
 
     # ------------------------------------------------------------------
     # Per-bank refresh (REFpb)
     # ------------------------------------------------------------------
 
-    def can_refresh_pb(self, cycle: int, subarray: Optional[int] = None) -> bool:
-        """True when a per-bank refresh may issue this cycle.
+    def next_refresh_pb_ready(self, subarray: Optional[int] = None) -> int:
+        """Earliest cycle a per-bank refresh may issue.
 
         The bank must be out of any earlier refresh window and past its
         activate-readiness chain (a REFpb is an internally generated
         activate of ``subarray``); it must be precharged, except under
         SARP where a row open in a *different* subarray may stay open.
         """
-        if cycle < self.refresh_busy_until or cycle < self.ready_activate:
-            return False
-        if self.state is BankState.IDLE:
-            return True
-        open_sa = self.subarray_of(self.open_row)
-        return (
-            subarray is not None
-            and open_sa is not None
-            and open_sa != subarray
-        )
-
-    def next_refresh_pb_ready(self, subarray: Optional[int] = None) -> int:
-        """Earliest cycle :meth:`can_refresh_pb` can turn true."""
         if self.state is not BankState.IDLE:
             open_sa = self.subarray_of(self.open_row)
             if (
@@ -212,6 +186,9 @@ class Bank:
         if self.refresh_busy_until > ready:
             ready = self.refresh_busy_until
         return ready
+
+    def can_refresh_pb(self, cycle: int, subarray: Optional[int] = None) -> bool:
+        return self.next_refresh_pb_ready(subarray) <= cycle
 
     def _refresh_blocking_row(self, subarray: Optional[int]) -> bool:
         """Whether the open row prevents a REFpb of ``subarray``.

@@ -70,37 +70,44 @@ class Rank:
         self.refpb_ready = 0
 
     # ------------------------------------------------------------------
-    # Legality
+    # Readiness: the first cycle each command becomes legal with rank
+    # and bank state frozen (NEVER: only a command can enable it).
+    # ``refresh_pending`` clears only when the refresh engine issues (an
+    # event), so it maps to NEVER rather than a cycle.  Each ``can_*``
+    # check is ``next_* <= cycle``.
     # ------------------------------------------------------------------
 
-    def can_activate(
-        self, cycle: int, bank: int, row: Optional[int] = None
-    ) -> bool:
-        """True when bank ``bank`` may activate, counting rank limits.
+    def next_activate_ready(
+        self, bank: int, row: Optional[int] = None
+    ) -> int:
+        """Earliest cycle bank ``bank`` may activate, counting rank limits.
 
         ``row`` (when known) lets the bank refine its per-bank refresh
         gates to the row's subarray (SARP).
         """
         if self.refresh_pending:
-            return False
-        if cycle < self.ready_activate:
-            return False
-        if (
-            self.timing.tFAW is not None
-            and len(self._activate_times) == 4
-            and cycle < self._activate_times[0] + self.timing.tFAW
-        ):
-            return False
+            return NEVER
         target = self.banks[bank]
-        return target.can_activate(cycle, target.subarray_of(row))
+        ready = target.next_activate_ready(target.subarray_of(row))
+        if self.ready_activate > ready:
+            ready = self.ready_activate
+        tFAW = self.timing.tFAW
+        if tFAW is not None and len(self._activate_times) == 4:
+            window = self._activate_times[0] + tFAW
+            if window > ready:
+                ready = window
+        return ready
 
-    def can_column(self, cycle: int, bank: int, row: int, is_read: bool) -> bool:
-        """True when the column access clears rank-level turnaround."""
-        if is_read and cycle < self.ready_read:
-            return False
-        if self.bank_groups > 1 and cycle < self.column_gate(bank, is_read):
-            return False
-        return self.banks[bank].can_column(cycle, row)
+    def next_column_ready(self, bank: int, row: int, is_read: bool) -> int:
+        """Earliest cycle the column access clears rank-level turnaround."""
+        ready = self.banks[bank].next_column_ready(row)
+        if is_read and self.ready_read > ready:
+            ready = self.ready_read
+        if self.bank_groups > 1:
+            gate = self.column_gate(bank, is_read)
+            if gate > ready:
+                ready = gate
+        return ready
 
     def column_gate(self, bank: int, is_read: bool) -> int:
         """Earliest cycle the bank-group gates allow a column to ``bank``.
@@ -122,104 +129,65 @@ class Rank:
                 ready = turnaround
         return ready
 
-    def can_precharge(self, cycle: int, bank: int) -> bool:
-        return self.banks[bank].can_precharge(cycle)
+    def next_precharge_ready(self, bank: int) -> int:
+        return self.banks[bank].next_precharge_ready()
 
     def all_banks_idle(self) -> bool:
         """True when every bank is precharged (refresh precondition)."""
         return all(b.state is BankState.IDLE for b in self.banks)
 
-    def can_refresh(self, cycle: int) -> bool:
-        """True when a REFRESH command may issue this cycle."""
-        if not self.all_banks_idle():
-            return False
-        if any(cycle < b.refresh_busy_until for b in self.banks):
-            return False  # a per-bank refresh window is still open
-        ready = max((b.ready_activate for b in self.banks), default=0)
-        return cycle >= max(ready, self.ready_activate)
+    def next_refresh_ready(self) -> int:
+        """Earliest cycle a REFRESH may issue.
 
-    def can_refresh_pb(
-        self, cycle: int, bank: int, subarray: Optional[int] = None
-    ) -> bool:
-        """True when a per-bank refresh of ``bank`` may issue.
+        Every bank must be idle (with a row open the refresh engine
+        must precharge first, see :meth:`RefreshController.next_wakeup`)
+        and out of any per-bank refresh window.
+        """
+        if not self.all_banks_idle():
+            return NEVER
+        ready = self.ready_activate
+        for b in self.banks:
+            if b.ready_activate > ready:
+                ready = b.ready_activate
+            if b.refresh_busy_until > ready:
+                ready = b.refresh_busy_until
+        return ready
+
+    def next_refresh_pb_ready(
+        self, bank: int, subarray: Optional[int] = None
+    ) -> int:
+        """Earliest cycle a per-bank refresh of ``bank`` may issue.
 
         Rank-level gates: the tRREFD spacing from the previous REFpb,
         the tRRD spacing from the last activate (a REFpb is an internal
         activate), and any in-progress all-bank refresh window.  The
         bank-level idle/subarray rules live in
-        :meth:`~repro.dram.bank.Bank.can_refresh_pb`.
+        :meth:`~repro.dram.bank.Bank.next_refresh_pb_ready`.
         """
-        if cycle < self.refpb_ready or cycle < self.refresh_busy_until:
-            return False
-        if cycle < self.ready_activate:
-            return False
-        return self.banks[bank].can_refresh_pb(cycle, subarray)
-
-    # ------------------------------------------------------------------
-    # Earliest-ready queries (next-event engine)
-    # ------------------------------------------------------------------
-    # Mirrors of the can_* checks above: the first cycle each check can
-    # become true with rank and bank state frozen.  ``refresh_pending``
-    # clears only when the refresh engine issues (an event), so it maps
-    # to NEVER rather than a cycle.
-
-    def next_activate_ready(
-        self, bank: int, row: Optional[int] = None
-    ) -> int:
-        """Earliest cycle :meth:`can_activate` can turn true."""
-        if self.refresh_pending:
-            return NEVER
-        target = self.banks[bank]
-        ready = max(
-            self.ready_activate,
-            target.next_activate_ready(target.subarray_of(row)),
-        )
-        if self.timing.tFAW is not None and len(self._activate_times) == 4:
-            ready = max(ready, self._activate_times[0] + self.timing.tFAW)
-        return ready
-
-    def next_column_ready(self, bank: int, row: int, is_read: bool) -> int:
-        """Earliest cycle :meth:`can_column` can turn true."""
-        ready = self.banks[bank].next_column_ready(row)
-        if is_read:
-            ready = max(ready, self.ready_read)
-        if self.bank_groups > 1:
-            ready = max(ready, self.column_gate(bank, is_read))
-        return ready
-
-    def next_precharge_ready(self, bank: int) -> int:
-        """Earliest cycle :meth:`can_precharge` can turn true."""
-        return self.banks[bank].next_precharge_ready()
-
-    def next_refresh_ready(self) -> int:
-        """Earliest cycle :meth:`can_refresh` can turn true.
-
-        Only meaningful while every bank is idle; with a row open the
-        refresh engine must precharge first (see
-        :meth:`RefreshController.next_wakeup`).
-        """
-        if not self.all_banks_idle():
-            return NEVER
-        ready = max((b.ready_activate for b in self.banks), default=0)
-        ready = max(
-            ready,
-            max((b.refresh_busy_until for b in self.banks), default=0),
-        )
-        return max(ready, self.ready_activate)
-
-    def next_refresh_pb_ready(
-        self, bank: int, subarray: Optional[int] = None
-    ) -> int:
-        """Earliest cycle :meth:`can_refresh_pb` can turn true."""
         ready = self.banks[bank].next_refresh_pb_ready(subarray)
-        if ready == NEVER:
-            return NEVER
-        return max(
-            ready,
-            self.refpb_ready,
-            self.refresh_busy_until,
-            self.ready_activate,
-        )
+        if self.refpb_ready > ready:
+            ready = self.refpb_ready
+        if self.refresh_busy_until > ready:
+            ready = self.refresh_busy_until
+        if self.ready_activate > ready:
+            ready = self.ready_activate
+        return ready
+
+    def can_activate(
+        self, cycle: int, bank: int, row: Optional[int] = None
+    ) -> bool:
+        return self.next_activate_ready(bank, row) <= cycle
+
+    def can_column(self, cycle: int, bank: int, row: int, is_read: bool) -> bool:
+        return self.next_column_ready(bank, row, is_read) <= cycle
+
+    def can_refresh(self, cycle: int) -> bool:
+        return self.next_refresh_ready() <= cycle
+
+    def can_refresh_pb(
+        self, cycle: int, bank: int, subarray: Optional[int] = None
+    ) -> bool:
+        return self.next_refresh_pb_ready(bank, subarray) <= cycle
 
     # ------------------------------------------------------------------
     # Checkpointing

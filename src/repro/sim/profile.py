@@ -8,8 +8,8 @@ Two concerns live here:
 
 * :func:`fastfwd_enabled` — the ``REPRO_FASTFWD`` knob selecting the
   next-event time-skipping run loops (default on).  ``REPRO_FASTFWD=0``
-  preserves the strictly sequential cycle loop as an A/B reference; the
-  two modes are byte-identical by construction and the equivalence is
+  turns the schedule gates and leaps off, running every cycle; the two
+  modes are byte-identical by construction and the equivalence is
   property-tested (``tests/test_engine_fastfwd.py``).
 * :class:`SimProfiler` — opt-in (``REPRO_PROFILE=1``) attribution of
   simulated cycles (single-stepped vs skipped) and wall time per

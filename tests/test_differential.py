@@ -317,9 +317,10 @@ def test_differential_generation_profiles(workload, timing):
     This is the generation ladder's conformance sweep: DDR5's bank
     groups (tCCD_L/tCCD_S, tWTR_L), BL16 data windows, sub-channels
     and same-bank refresh run under exactly the rules the per-
-    generation oracle table derives for the profile — and the
-    sequential and flat engines must agree byte-for-byte on the stats
-    of every mechanism (Burst_BPW's drain latch included).
+    generation oracle table derives for the profile — and the engine
+    with gates and leaps on (``REPRO_FASTFWD=1``) must agree
+    byte-for-byte with the every-cycle loop on the stats of every
+    mechanism (Burst_BPW's drain latch included).
     """
     config = _generation_config(timing)
     requests = _encode_generation(config, workload)
@@ -339,7 +340,7 @@ def test_differential_generation_profiles(workload, timing):
             name, config, requests, fast=True
         )
         assert not violations_fast, (
-            f"{name}/{timing.name}: flat-engine protocol violations:\n"
+            f"{name}/{timing.name}: fast-engine protocol violations:\n"
             + "\n".join(str(v) for v in violations_fast)
         )
         assert observed_fast == observed, (

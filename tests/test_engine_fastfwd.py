@@ -1,11 +1,12 @@
 """Equivalence of the next-event engine and the sequential loop.
 
-The fast-forward run loops (``REPRO_FASTFWD=1``, the default) leap
-over cycles they can prove are no-ops; ``REPRO_FASTFWD=0`` preserves
-the original strictly sequential loop.  The two must be *byte
-identical*: same ``SimStats`` snapshot, same SDRAM command trace
-cycle for cycle, same CPU result — on every mechanism, with the
-protocol oracle watching, under both quiet and aggressive refresh.
+The fast-forward run loops (``REPRO_FASTFWD=1``, the default) gate off
+schedule passes and leap over cycles they can prove are no-ops;
+``REPRO_FASTFWD=0`` runs the same scheduler pass on every cycle, with
+gates and leaps off.  The two must be *byte identical*: same
+``SimStats`` snapshot, same SDRAM command trace cycle for cycle, same
+CPU result — on every mechanism, with the protocol oracle watching,
+under both quiet and aggressive refresh.
 
 These tests are the correctness bar of the next-event rewrite
 (DESIGN.md §9): any scheduling decision that could depend on a
@@ -129,7 +130,7 @@ def workloads(draw):
 @settings(deadline=None)
 @given(workload=workloads(), refresh=st.booleans())
 def test_fastfwd_open_loop_identical_across_mechanisms(workload, refresh):
-    """Fast and sequential runs agree on stats and command traces."""
+    """Gates+leaps on and off agree on stats and command traces."""
     config = _config(FAST_REFRESH if refresh else QUIET)
     requests = _encode(config, workload)
     for mechanism in ALL_MECHANISMS:
@@ -207,7 +208,7 @@ def test_skip_to_weights_per_cycle_samples():
 
 
 def test_sequential_mode_never_skips(monkeypatch):
-    """REPRO_FASTFWD=0 preserves the one-tick-per-cycle A/B loop."""
+    """REPRO_FASTFWD=0 ticks every cycle: no leaps, no gated passes."""
     monkeypatch.setenv("REPRO_PROFILE", "1")
     monkeypatch.setenv("REPRO_FASTFWD", "0")
     profile.reset()
@@ -220,5 +221,6 @@ def test_sequential_mode_never_skips(monkeypatch):
         summary = profile.active().summary()
         assert summary["skipped_cycles"] == 0
         assert summary["ticked_cycles"] == system.cycle
+        assert summary["gated_passes"] == 0
     finally:
         profile.reset()

@@ -1,11 +1,14 @@
 """Flat-array scheduler core: equivalence and directed invariants.
 
-The fast-mode schedulers run their passes over :class:`FlatSlots`
-(DESIGN.md §11) — bitset candidate sets, stamp-cached timing, an age
-matrix for tie-breaks and an optionally-vectorized cross-bank min —
-while ``REPRO_FASTFWD=0`` keeps the original object-model walk.  The
-flat mirror must be *invisible*: byte-identical stats, command traces
-and CPU results on every mechanism, with the protocol oracle watching.
+The schedulers run their one pass over :class:`FlatSlots` (DESIGN.md
+§11) — bitset candidate sets, stamp-cached timing, an age matrix for
+tie-breaks and an optionally-vectorized cross-bank min.  The next-event
+engine (``REPRO_FASTFWD=1``) gates that pass off over proven no-op
+cycles and leaps over dead windows; ``REPRO_FASTFWD=0`` runs the same
+pass on every cycle.  Gates and leaps must be *invisible*: byte-
+identical stats and command traces on every mechanism, with the
+protocol oracle watching.  (The golden digest corpus pins the pass
+itself against the pre-refactor object-model walk.)
 
 The directed tests pin the idioms the property test would only
 exercise by luck: equal-age tie-breaks at the age-matrix boundary,
@@ -130,19 +133,20 @@ def workloads(draw):
 
 @settings(deadline=None)
 @given(workload=workloads(), refresh=st.booleans())
-def test_flat_pass_identical_to_object_pass(workload, refresh):
-    """Flat-array passes are byte-identical to the object-model walk.
+def test_gated_pass_identical_to_every_cycle_pass(workload, refresh):
+    """Gates and leaps on vs off over the one flat pass: byte-identical.
 
-    The flat path only runs under ``REPRO_FASTFWD=1`` (the engine sets
-    ``_want_hint`` before each pass), so fast-vs-sequential is exactly
-    flat-vs-object — on all mechanisms, oracle-clean.
+    ``REPRO_FASTFWD=1`` skips passes the schedule gate proves to be
+    no-ops (arming it with the pass's own ``_pass_wake``) and leaps
+    dead windows; ``REPRO_FASTFWD=0`` runs the same pass every cycle —
+    on all mechanisms, oracle-clean.
     """
     config = _config(FAST_REFRESH if refresh else QUIET)
     requests = _encode(config, workload)
     for mechanism in ALL_MECHANISMS:
-        obj = _run(mechanism, config, requests, REPRO_FASTFWD="0")
-        flat = _run(mechanism, config, requests, REPRO_FASTFWD="1")
-        assert flat == obj, f"{mechanism} flat pass diverged"
+        every_cycle = _run(mechanism, config, requests, REPRO_FASTFWD="0")
+        gated = _run(mechanism, config, requests, REPRO_FASTFWD="1")
+        assert gated == every_cycle, f"{mechanism} gated pass diverged"
 
 
 @pytest.mark.skipif(not numpy_enabled(), reason="numpy not installed")
@@ -185,7 +189,7 @@ def test_oldest_equal_age_tie_breaks_to_lowest_slot():
     """Same arrival, same direction: the lowest slot index wins.
 
     This is the boundary the composed age key exists for — it must
-    reproduce the object path's stable min over ``iter_banks`` order.
+    reproduce a stable min over ``iter_banks`` order.
     """
     flat = _flat()
     for slot in (5, 3, 6):
@@ -252,8 +256,8 @@ def test_refresh_pending_flip_invalidates_cached_activate():
 
     The refresh engine blocks new activates while a refresh is due and
     bumps ``Rank.ver`` exactly when the flag flips; the flat timing
-    cache must recompute on the bumped stamp or the fast path would
-    issue an activate the object path (and the device) refuses.
+    cache must recompute on the bumped stamp or the pass would issue
+    an activate the device readiness (and the device) refuses.
     """
     config = _config(DDR2_800)  # refresh enabled: tREFI is real
     system = MemorySystem(config, "BkInOrder")
@@ -328,20 +332,46 @@ def test_lookout_counters_move_and_stay_out_of_snapshots():
     assert "lookout_throttled" not in snapshot
 
 
-def test_profiler_reports_pass_cost_breakdown(monkeypatch):
-    """REPRO_PROFILE=1 counts candidates, checks and cache hits."""
-    monkeypatch.setenv("REPRO_PROFILE", "1")
+def _dense_requests(config, start):
+    """Back-to-back mixed traffic: candidates wait on each other."""
+    donor = MemorySystem(config, "BkInOrder")
+    requests = []
+    for i in range(40):
+        address = donor.mapping.encode(
+            DecodedAddress(0, i % 2, (i // 2) % 2, i % 5, i % 3)
+        )
+        op = AccessType.WRITE if i % 3 == 0 else AccessType.READ
+        requests.append((start + i, op, address))
+    return requests
+
+
+@pytest.mark.parametrize(
+    "mechanism", ["Burst_TH", "Intel", "RowHit", "BkInOrder"]
+)
+def test_profiler_reports_pass_cost_breakdown(mechanism, monkeypatch):
+    """REPRO_PROFILE=1 counts candidates, checks and cache hits.
+
+    Every flat pass counts through the one cached helper, so the
+    breakdown is the same per-candidate identity for each mechanism.
+    Profiling must also be pure observation: the profiled run's bytes
+    equal the unprofiled run's, which pins the profiler hooks inside
+    ``MemorySystem.tick``.
+    """
+    config = _config(QUIET)
+    requests = _sparse_requests(config) + _dense_requests(config, 10_000)
     monkeypatch.setenv("REPRO_FASTFWD", "1")
+    plain = _run(mechanism, config, requests)
+    monkeypatch.setenv("REPRO_PROFILE", "1")
     profile.reset()
     try:
-        config = _config(QUIET)
-        system = MemorySystem(config, "Burst_TH")
-        run_requests(system, _sparse_requests(config))
+        profiled = _run(mechanism, config, requests)
         summary = profile.active().summary()
         assert summary["sched_candidates"] > 0
         assert summary["sched_timing_checks"] > 0
+        assert summary["sched_bitset_hits"] > 0
         assert summary["sched_bitset_hits"] + \
             summary["sched_timing_checks"] == summary["sched_candidates"]
         assert "sched candidates" in profile.active().format_summary()
     finally:
         profile.reset()
+    assert profiled == plain, f"{mechanism}: profiling changed the bytes"

@@ -235,12 +235,11 @@ class _TRPSkippingScheduler(BkInOrderScheduler):
     Zeroing the bank and rank activate gates before the legality check
     makes the device model accept activates immediately after a
     precharge — exactly the class of model bug the independent oracle
-    exists to catch.  All three legality hooks are broken the same way
-    so the bug survives either engine mode (the sequential loop asks
-    ``can_issue_access``, the next-event fast path the flat-array
-    mirror ``_flat_earliest`` — whose stamp cache must also be broken
-    through, or it would serve the pre-mutation timing — and
-    ``earliest_issue_cycle`` backs conservative wakeups).
+    exists to catch.  Both readiness hooks are broken the same way: the
+    schedule pass asks the flat-array cache ``_flat_earliest`` — whose
+    stamp cache must also be broken through, or it would serve the
+    pre-mutation timing — and ``earliest_issue_cycle`` (behind
+    ``can_issue_access``) backs conservative wakeups.
     """
 
     name = "BrokenNoTRP"
@@ -249,10 +248,6 @@ class _TRPSkippingScheduler(BkInOrderScheduler):
         bank = self.channel.ranks[access.rank].banks[access.bank]
         bank.ready_activate = 0
         self.channel.ranks[access.rank].ready_activate = 0
-
-    def can_issue_access(self, access, cycle):
-        self._forget_trp(access)
-        return super().can_issue_access(access, cycle)
 
     def earliest_issue_cycle(self, access, cycle):
         self._forget_trp(access)
