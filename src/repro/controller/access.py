@@ -80,7 +80,7 @@ class MemoryAccess:
 
     __slots__ = (
         "id",
-        "type",
+        "is_read",
         "address",
         "channel",
         "rank",
@@ -108,7 +108,9 @@ class MemoryAccess:
         source: int = 0,
     ) -> None:
         self.id = _allocate_id()
-        self.type = type
+        #: The one stored direction bit; ``type`` and ``is_write`` are
+        #: derived from it (hot paths read ``not is_read``).
+        self.is_read = type is AccessType.READ
         self.address = address
         self.channel = decoded.channel
         self.rank = decoded.rank
@@ -127,12 +129,12 @@ class MemoryAccess:
         self.source = source
 
     @property
-    def is_read(self) -> bool:
-        return self.type is AccessType.READ
+    def type(self) -> AccessType:
+        return AccessType.READ if self.is_read else AccessType.WRITE
 
     @property
     def is_write(self) -> bool:
-        return self.type is AccessType.WRITE
+        return not self.is_read
 
     @property
     def latency(self) -> Optional[int]:
@@ -149,7 +151,7 @@ class MemoryAccess:
         """JSON-safe snapshot of every slot, including the id."""
         return {
             "id": self.id,
-            "type": self.type.value,
+            "type": "read" if self.is_read else "write",
             "address": self.address,
             "channel": self.channel,
             "rank": self.rank,
@@ -174,7 +176,7 @@ class MemoryAccess:
         """Rebuild an access with its original id and lifecycle stamps."""
         access = cls.__new__(cls)
         access.id = state["id"]
-        access.type = AccessType(state["type"])
+        access.is_read = AccessType(state["type"]) is AccessType.READ
         access.address = state["address"]
         access.channel = state["channel"]
         access.rank = state["rank"]

@@ -48,6 +48,11 @@ COLUMN = "column"
 PRECHARGE = "precharge"
 ACTIVATE = "activate"
 
+#: One shared int object per common read latency.  The per-source
+#: latency histograms outlive the run, and without sharing every one of
+#: them would hold its own copy of each latency key above 256.
+_LATENCY_INTS = tuple(range(4096))
+
 
 class Scheduler(abc.ABC):
     """Base class for per-channel access reordering mechanisms."""
@@ -114,7 +119,7 @@ class Scheduler(abc.ABC):
         #: the gate arming falls back to a :meth:`next_wakeup` call.
         self._pass_wake = -1
         #: Pass-cost profiler hook (None unless ``REPRO_PROFILE=1``):
-        #: :meth:`_flat_earliest` counts candidates examined vs timing
+        #: :meth:`_flat_scan` counts candidates examined vs timing
         #: recomputations into it (see SimProfiler.sched_candidates).
         self._prof = _profile.ensure_profiler()
 
@@ -234,7 +239,7 @@ class Scheduler(abc.ABC):
         kind = self.next_command_kind(access)
         channel = self.channel
         if kind is COLUMN:
-            if access.is_write and self._reads_by_addr.get(access.address):
+            if not access.is_read and self._reads_by_addr.get(access.address):
                 return NEVER
             ready = channel.next_column_at(
                 access.rank, access.bank, access.row, access.is_read
@@ -247,59 +252,101 @@ class Scheduler(abc.ABC):
             )
         return ready if ready > cycle else cycle
 
-    def _flat_earliest(self, flat, i: int, access, cycle: int) -> int:
-        """:meth:`earliest_issue_cycle` through the flat mirror's cache.
+    def _flat_scan(self, flat, mask: int, cycle: int):
+        """:meth:`earliest_issue_cycle` for every slot in ``mask`` at once.
 
-        Identical result, different cost model: the device-timing part
-        (next command kind + the rank's ``next_*_ready`` plus its
+        Identical results, different cost model.  The device-timing
+        part (next command kind + the rank's ``next_*_ready`` plus its
         refresh window — everything that only moves when a command or
         refresh touches the owning bank/rank) is cached in
-        ``flat.kind[i]``/``flat.core[i]`` under the devices'
-        write-version stamps, so on most passes a candidate is a couple
-        of list reads.  The per-pass parts — WAR blocking and the shared
-        data-bus turnaround, which change with *other* banks' traffic —
-        are recomputed every call.
+        ``flat.kind``/``flat.core`` under the devices' write-version
+        stamps, so on most passes a slot costs a couple of list reads.
+        WAR blocking and the data bus, which move with *other* banks'
+        traffic, are applied per pass; the bus part is a lookup in the
+        table the channel publishes on every column issue.
+
+        Writes each slot's earliest cycle (clamped to ``cycle``) into
+        ``flat.ready`` and returns ``(col, ovh, wake)``: the issuable
+        column slots, the issuable precharge/activate slots, and the
+        min earliest cycle over the blocked slots (``NEVER`` if none).
+        A scan over every occupied slot of a wide channel takes that
+        min vectorized (:meth:`FlatSlots.min_ready`).
         """
-        bank = flat.banks[i]
-        rank = flat.ranks[i]
-        prof = self._prof
-        if flat.bstamp[i] == bank.ver and flat.rstamp[i] == rank.ver:
-            kind = flat.kind[i]
-            core = flat.core[i]
-            if prof is not None:
-                prof.sched_candidates += 1
-                prof.sched_bitset_hits += 1
-        else:
-            row = bank.open_row
-            if row == access.row:
-                kind = KIND_COLUMN
-                core = rank.next_column_ready(
-                    access.bank, row, access.is_read
-                )
-            elif row is not None:
-                kind = KIND_PRECHARGE
-                core = rank.next_precharge_ready(access.bank)
+        acc = flat.acc
+        banks = flat.banks
+        ranks = flat.ranks
+        kinds = flat.kind
+        cores = flat.core
+        bstamp = flat.bstamp
+        rstamp = flat.rstamp
+        ready = flat.ready
+        vec = flat.use_numpy and mask == flat.occupied
+        channel = self.channel
+        bus = channel.bus_ready
+        bus_rank = channel.last_data_rank
+        war = self._reads_by_addr
+        col = ovh = 0
+        wake = NEVER
+        misses = 0
+        m = mask
+        while m:
+            b = m & -m
+            m ^= b
+            i = b.bit_length() - 1
+            bank = banks[i]
+            rank = ranks[i]
+            if bstamp[i] == bank.ver and rstamp[i] == rank.ver:
+                kind = kinds[i]
+                t = cores[i]
             else:
-                kind = KIND_ACTIVATE
-                core = rank.next_activate_ready(access.bank, access.row)
-            if rank.refresh_busy_until > core:
-                core = rank.refresh_busy_until
-            flat.kind[i] = kind
-            flat.core[i] = core
-            flat.bstamp[i] = bank.ver
-            flat.rstamp[i] = rank.ver
-            if prof is not None:
-                prof.sched_candidates += 1
-                prof.sched_timing_checks += 1
-        if kind == KIND_COLUMN:
-            is_read = access.is_read
-            if not is_read and self._reads_by_addr.get(access.address):
-                return NEVER  # WAR: only the read's completion unblocks
-            t = self.channel.data_bus_ready(access.rank, is_read)
-            if core > t:
-                t = core
-            return t if t > cycle else cycle
-        return core if core > cycle else cycle
+                access = acc[i]
+                row = bank.open_row
+                if row == access.row:
+                    kind = KIND_COLUMN
+                    t = rank.next_column_ready(
+                        access.bank, row, access.is_read
+                    )
+                elif row is not None:
+                    kind = KIND_PRECHARGE
+                    t = rank.next_precharge_ready(access.bank)
+                else:
+                    kind = KIND_ACTIVATE
+                    t = rank.next_activate_ready(access.bank, access.row)
+                if rank.refresh_busy_until > t:
+                    t = rank.refresh_busy_until
+                kinds[i] = kind
+                cores[i] = t
+                bstamp[i] = bank.ver
+                rstamp[i] = rank.ver
+                misses += 1
+            if kind == KIND_COLUMN:
+                access = acc[i]
+                is_read = access.is_read
+                if not is_read and access.address in war:
+                    t = NEVER  # WAR: only the read's completion unblocks
+                else:
+                    bus_t = bus[access.rank != bus_rank][is_read]
+                    if bus_t > t:
+                        t = bus_t
+            if t <= cycle:
+                ready[i] = cycle
+                if kind == KIND_COLUMN:
+                    col |= b
+                else:
+                    ovh |= b
+            else:
+                ready[i] = t
+                if not vec and t < wake:
+                    wake = t
+        prof = self._prof
+        if prof is not None:
+            seen = bin(mask).count("1")
+            prof.sched_candidates += seen
+            prof.sched_timing_checks += misses
+            prof.sched_bitset_hits += seen - misses
+        if vec and not (col | ovh):
+            wake = flat.min_ready()
+        return col, ovh, wake
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -448,7 +495,7 @@ class Scheduler(abc.ABC):
             heapq.heappush(
                 self._completions, (data_end, access.id, access)
             )
-            if access.is_write:
+            if not access.is_read:
                 self._finish_write_bookkeeping(access)
         elif kind is PRECHARGE:
             self.channel.issue_precharge(
@@ -493,6 +540,8 @@ class Scheduler(abc.ABC):
             access.rank * self._banks_per_rank + access.bank
         ] -= 1
         latency = access.complete_cycle - access.arrival
+        if latency < len(_LATENCY_INTS):
+            latency = _LATENCY_INTS[latency]
         self.stats.read_latency.add(latency)
         slice_stats = self.stats.read_latency_per_slice
         key = access.address >> 30

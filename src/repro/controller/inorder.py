@@ -116,42 +116,36 @@ class BkInOrderScheduler(Scheduler):
         bank when its current access's data transfer is scheduled.
         Strict order: even a WAR-blocked write head simply waits (its
         older same-address read is ahead of it anyway).  Occupied flat
-        slots ARE the nonempty queues, visited in rotated order; a
-        no-issue scan leaves the blocked heads' min in ``_pass_wake``
-        to arm the no-op schedule gate.
+        slots ARE the nonempty queues: one :meth:`_flat_scan` over them
+        finds the issuable heads, and the first in rotated order
+        issues.  A no-issue scan leaves the blocked heads' min in
+        ``_pass_wake`` to arm the no-op schedule gate.
         """
         flat = self._flat
         occ = flat.occupied
         if not occ:
             self._pass_wake = NEVER
             return
-        acc = flat.acc
+        col, ovh, wake = self._flat_scan(flat, occ, cycle)
+        issuable = col | ovh
+        if not issuable:
+            self._pass_wake = wake
+            return
         rr = self._rr
-        wake = NEVER
-        high = occ >> rr << rr  # slots >= rr, then the wrapped rest
-        for m in (high, occ ^ high):
-            while m:
-                b = m & -m
-                m ^= b
-                i = b.bit_length() - 1
-                head = acc[i]
-                t = self._flat_earliest(flat, i, head, cycle)
-                if t > cycle:
-                    if t < wake:
-                        wake = t
-                    continue
-                kind = self.issue_for(head, cycle)
-                if kind is COLUMN:
-                    queue = self._queues[flat.keys[i]]
-                    queue.popleft()
-                    self._pending -= 1
-                    if queue:
-                        flat.bind(i, queue[0])
-                    else:
-                        flat.clear(i)
-                    self._rr = (i + 1) % flat.n
-                return
-        self._pass_wake = wake
+        high = issuable >> rr << rr  # slots >= rr, then the wrapped rest
+        pick = high or issuable
+        i = (pick & -pick).bit_length() - 1
+        head = flat.acc[i]
+        kind = self.issue_for(head, cycle)
+        if kind is COLUMN:
+            queue = self._queues[flat.keys[i]]
+            queue.popleft()
+            self._pending -= 1
+            if queue:
+                flat.bind(i, queue[0])
+            else:
+                flat.clear(i)
+            self._rr = (i + 1) % flat.n
 
 
 __all__ = ["BkInOrderScheduler"]

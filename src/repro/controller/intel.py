@@ -112,7 +112,7 @@ class IntelScheduler(Scheduler):
 
     def _flat_set(self, slot: int, access: MemoryAccess) -> None:
         self._flat.install(slot, access)
-        if access.is_write:
+        if not access.is_read:
             self._wmask |= 1 << slot
         else:
             self._wmask &= ~(1 << slot)
@@ -286,9 +286,9 @@ class IntelScheduler(Scheduler):
         The issued candidate is the min over issuable slots of the
         composed key ``(unstarted, start-or-arrival, slot)``: accesses
         already started first, then the oldest, ties to the lowest
-        slot.  Earliest-issue cycles come from :meth:`_flat_earliest`;
-        the blocked candidates' min lands in ``_pass_wake`` so gate
-        arming needs no separate :meth:`next_wakeup` scan.
+        slot.  One :meth:`_flat_scan` finds the issuable slots; the
+        blocked candidates' min lands in ``_pass_wake`` so gate arming
+        needs no separate :meth:`next_wakeup` scan.
         """
         self._update_ongoing()
         flat = self._flat
@@ -299,36 +299,28 @@ class IntelScheduler(Scheduler):
         if not occ:
             self._pass_wake = NEVER
             return
-        ready = flat.ready
-        flat_earliest = self._flat_earliest
-        vec = flat.use_numpy
+        col, ovh, wake = self._flat_scan(flat, occ, cycle)
+        m = col | ovh
+        if not m:
+            self._pass_wake = wake
+            return
         slot_bits = flat._slot_bits
         unstarted_bias = 1 << 61
         best_key = 0
         best_i = -1
-        wake = NEVER
-        m = occ
         while m:
             b = m & -m
             m ^= b
             i = b.bit_length() - 1
             a = acc[i]
-            t = flat_earliest(flat, i, a, cycle)
-            ready[i] = t
-            if t <= cycle:
-                sc = a.start_cycle
-                if sc is None:
-                    k = unstarted_bias | (a.arrival << slot_bits) | i
-                else:
-                    k = (sc << slot_bits) | i
-                if best_i < 0 or k < best_key:
-                    best_key = k
-                    best_i = i
-            elif not vec and t < wake:
-                wake = t
-        if best_i < 0:
-            self._pass_wake = flat.min_ready() if vec else wake
-            return
+            sc = a.start_cycle
+            if sc is None:
+                k = unstarted_bias | (a.arrival << slot_bits) | i
+            else:
+                k = (sc << slot_bits) | i
+            if best_i < 0 or k < best_key:
+                best_key = k
+                best_i = i
         i = best_i
         a = acc[i]
         kind = self.issue_for(a, cycle)

@@ -58,11 +58,10 @@ class AccessPool:
 
     def can_accept(self, access: MemoryAccess) -> bool:
         """Would the pool admit this access right now?"""
-        if self.full:
+        writes = self.write_count
+        if self.read_count + writes >= self.capacity:
             return False
-        if access.is_write and self.write_queue_full:
-            return False
-        return True
+        return access.is_read or writes < self.write_capacity
 
     def add(self, access: MemoryAccess) -> None:
         if not self.can_accept(access):
@@ -70,7 +69,7 @@ class AccessPool:
                 f"pool overflow adding {access!r} "
                 f"(reads={self.read_count}, writes={self.write_count})"
             )
-        if access.is_write:
+        if not access.is_read:
             self.write_count += 1
             self.write_version += 1
             by_source = self.write_count_by_source
@@ -103,7 +102,7 @@ class AccessPool:
         }
 
     def remove(self, access: MemoryAccess) -> None:
-        if access.is_write:
+        if not access.is_read:
             if self.write_count <= 0:
                 raise PoolError("write pool underflow")
             self.write_count -= 1

@@ -113,7 +113,7 @@ class RowHitScheduler(Scheduler):
         open_row = self.channel.ranks[rank].open_row(bank)
         fallback = None
         for access in queue:
-            if access.is_write and self.write_is_war_blocked(access):
+            if not access.is_read and self.write_is_war_blocked(access):
                 continue
             if fallback is None:
                 fallback = access
@@ -165,26 +165,31 @@ class RowHitScheduler(Scheduler):
         flat = self._flat
         acc = flat.acc
         keys = flat.keys
+        # Filling a slot moves no device state, so the slots already
+        # holding a candidate are scanned in one batch up front; the
+        # visit then only stops at issuable and still-empty slots.
+        col, ovh, wake = self._flat_scan(flat, flat.occupied, cycle)
+        issuable = col | ovh
+        visit = issuable | (occq & ~flat.occupied)
         rr = self._rr
-        wake = NEVER
-        high = occq >> rr << rr  # slots >= rr, then the wrapped rest
-        for m in (high, occq ^ high):
+        high = visit >> rr << rr  # slots >= rr, then the wrapped rest
+        for m in (high, visit ^ high):
             while m:
                 b = m & -m
                 m ^= b
                 i = b.bit_length() - 1
-                ongoing = acc[i]
-                if ongoing is None:
+                if not (issuable & b):
                     ongoing = self._select(keys[i])
                     if ongoing is None:
                         continue
                     self._ongoing[keys[i]] = ongoing
                     flat.bind(i, ongoing)
-                t = self._flat_earliest(flat, i, ongoing, cycle)
-                if t > cycle:
-                    if t < wake:
-                        wake = t
-                    continue
+                    col, ovh, t = self._flat_scan(flat, b, cycle)
+                    if not (col | ovh):
+                        if t < wake:
+                            wake = t
+                        continue
+                ongoing = acc[i]
                 kind = self.issue_for(ongoing, cycle)
                 if kind is COLUMN:
                     key = keys[i]

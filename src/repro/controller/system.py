@@ -270,29 +270,29 @@ class MemorySystem:
         # (Figures 8/11) and the saturation metrics (§5.1).
         if prof is not None:
             t0 = perf_counter()
-        stats.outstanding_reads.add(pool.read_count)
-        stats.outstanding_writes.add(pool.write_count)
-        if pool.write_queue_full:
+        # Same as Histogram.add and the pool's full properties, inlined.
+        reads = pool.read_count
+        writes = pool.write_count
+        stats.outstanding_reads.counts[reads] += 1
+        stats.outstanding_writes.counts[writes] += 1
+        if writes >= pool.write_capacity:
             stats.write_queue_full_cycles += 1
-        if pool.full:
+        if reads + writes >= pool.capacity:
             stats.pool_full_cycles += 1
         if prof is not None:
             prof.add_time("sampling", perf_counter() - t0)
             prof.note_tick()
         self._tick_active = active
         self.cycle = cycle + 1
-        self._after_tick(active)
-        return completed
-
-    def _after_tick(self, active: bool) -> None:
-        """Feed the dead-cycle fast path after each executed tick."""
-        if active or not self._fastfwd:
+        # Feed the dead-cycle fast path: after a quiet tick the
+        # (throttled) lookout decides whether the window is worth
+        # computing, arming _quiet_until on success.
+        if active or not fast:
             self._quiet_streak = 0
             self._quiet_until = -1
-            return
-        # Quiet tick: let the (throttled) lookout decide whether the
-        # window is worth computing; it arms _quiet_until on success.
-        self.next_event_cycle(self.cycle)
+        else:
+            self.next_event_cycle(cycle + 1)
+        return completed
 
     # ------------------------------------------------------------------
     # Next-event time skipping

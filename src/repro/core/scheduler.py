@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.controller.access import MemoryAccess
 from repro.controller.base import COLUMN, Scheduler
-from repro.controller.flatcore import KIND_COLUMN, FlatSlots
+from repro.controller.flatcore import FlatSlots
 from repro.core.burst import BurstQueue
 from repro.sim.profile import NEVER
 
@@ -344,7 +344,7 @@ class BurstScheduler(Scheduler):
             self._ongoing[key] = selected
         elif (
             self.read_preemption                            # line 9
-            and ongoing.is_write
+            and not ongoing.is_read
             and reads
             and write_occupancy < self.threshold
         ):
@@ -406,7 +406,7 @@ class BurstScheduler(Scheduler):
     def _flat_set(self, slot: int, access: MemoryAccess) -> None:
         """Bind ``access`` as slot's ongoing candidate in the mirror."""
         self._flat.install(slot, access)
-        if access.is_write:
+        if not access.is_read:
             self._wmask |= 1 << slot
         else:
             self._wmask &= ~(1 << slot)
@@ -472,15 +472,13 @@ class BurstScheduler(Scheduler):
           (no ongoing access, or a preemptible write-ongoing slot with
           queued reads while RP is armed) — on every other slot it is
           a no-op;
-        * each candidate's earliest-issue cycle comes from
-          :meth:`_flat_earliest` (stamp-cached device timing, per-pass
-          data bus and WAR);
-        * ``earliest <= cycle`` classifies candidates into column /
-          overhead bitsets, and the priority picks resolve through the
-          age matrix instead of ``min()`` over tuples;
-        * the min of blocked candidates' earliests lands in
-          ``_pass_wake`` (vectorized via :meth:`FlatSlots.min_ready`
-          on wide channels), arming the schedule gate exactly.
+        * one :meth:`_flat_scan` over the candidates (stamp-cached
+          device timing, per-pass data bus and WAR) classifies them
+          into issuable column / overhead bitsets, and the priority
+          picks resolve through the age matrix instead of ``min()``
+          over tuples;
+        * the scan's min over the blocked candidates lands in
+          ``_pass_wake``, arming the schedule gate exactly.
         """
         if not self.use_priority_table:
             self._schedule_naive(cycle)
@@ -509,38 +507,22 @@ class BurstScheduler(Scheduler):
                 else:
                     self._flat_set(i, a)
         occ = flat.occupied
-        kinds = flat.kind
-        ready = flat.ready
-        flat_earliest = self._flat_earliest
-        vec = flat.use_numpy
-        col_mask = 0
-        ovh_mask = 0
-        wake = NEVER
-        oldest_i = -1
-        oldest_arr = 0
-        m = occ
-        while m:
-            b = m & -m
-            m ^= b
-            i = b.bit_length() - 1
-            a = acc[i]
-            t = flat_earliest(flat, i, a, cycle)
-            ready[i] = t
-            if t <= cycle:
-                if kinds[i] == KIND_COLUMN:
-                    col_mask |= b
-                else:
-                    ovh_mask |= b
-            elif not vec and t < wake:
-                wake = t
-            arr = a.arrival
-            if oldest_i < 0 or arr < oldest_arr:
-                oldest_i = i
-                oldest_arr = arr
+        col_mask, ovh_mask, wake = self._flat_scan(flat, occ, cycle)
         if not (col_mask | ovh_mask):
-            self._pass_wake = flat.min_ready() if vec else wake
+            self._pass_wake = wake
             # Figure 6 lines 14-15: favour the oldest ongoing access's
-            # bank/rank next cycle.
+            # bank/rank next cycle (ties to the lowest slot).
+            oldest_i = -1
+            oldest_arr = 0
+            m = occ
+            while m:
+                b = m & -m
+                m ^= b
+                i = b.bit_length() - 1
+                arr = acc[i].arrival
+                if oldest_i < 0 or arr < oldest_arr:
+                    oldest_i = i
+                    oldest_arr = arr
             if oldest_i >= 0:
                 key = keys[oldest_i]
                 self._last_bank = key

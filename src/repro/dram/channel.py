@@ -56,10 +56,11 @@ class Channel:
         self.banks_per_rank = banks
         # Command bus: one command per cycle.
         self._last_cmd_cycle = -1
-        # Data bus occupancy/turnaround state.
+        # Data bus occupancy/turnaround state, published as bus_ready.
         self.data_busy_until = 0
-        self._last_data_rank: Optional[int] = None
+        self.last_data_rank: Optional[int] = None
         self._last_data_is_read: Optional[bool] = None
+        self._publish_bus()
         # Utilisation counters (Figure 9b).
         self.cmd_bus_cycles = 0
         self.data_bus_cycles = 0
@@ -118,24 +119,33 @@ class Channel:
     # Data-bus turnaround
     # ------------------------------------------------------------------
 
-    def data_bus_ready(self, rank: int, is_read: bool) -> int:
-        """Earliest cycle a column command finds the data bus free.
+    def _publish_bus(self) -> None:
+        """Recompute :attr:`bus_ready` after the data-bus state moved.
 
-        Its burst starts a CAS latency after the command and must wait
-        for the previous burst plus the turnaround gap: one cycle on a
-        read/write direction change, tRTRS on a rank switch.
+        The one statement of the data-bus turnaround rule.  A column
+        command's burst starts a CAS latency after the command and must
+        wait for the previous burst plus the turnaround gap: one cycle
+        on a read/write direction change, tRTRS on a rank switch.  The
+        table's row 0 is the rank of the last burst, row 1 every other
+        rank; each row is indexed by ``is_read``.
         """
-        last_rank = self._last_data_rank
-        if last_rank is None:
-            gap = 0
-        elif last_rank != rank:
-            gap = self.timing.tRTRS
-        elif self._last_data_is_read != is_read:
-            gap = 1
-        else:
-            gap = 0
-        latency = self.timing.tCL if is_read else self.timing.tCWL
-        return self.data_busy_until + gap - latency
+        t = self.timing
+        write_at = self.data_busy_until - t.tCWL
+        read_at = self.data_busy_until - t.tCL
+        if self.last_data_rank is None:
+            row = (write_at, read_at)
+            self.bus_ready = (row, row)
+            return
+        turn = 1 if self._last_data_is_read else 0
+        self.bus_ready = (
+            (write_at + turn, read_at + 1 - turn),
+            (write_at + t.tRTRS, read_at + t.tRTRS),
+        )
+
+    def data_bus_ready(self, rank: int, is_read: bool) -> int:
+        """Earliest cycle a column command finds the data bus free
+        (``is_read`` may be a bool or 0/1)."""
+        return self.bus_ready[rank != self.last_data_rank][is_read]
 
     # ------------------------------------------------------------------
     # Unblocked test — the paper's §3.3 definition
@@ -266,7 +276,7 @@ class Channel:
         return {
             "last_cmd_cycle": self._last_cmd_cycle,
             "data_busy_until": self.data_busy_until,
-            "last_data_rank": self._last_data_rank,
+            "last_data_rank": self.last_data_rank,
             "last_data_is_read": self._last_data_is_read,
             "cmd_bus_cycles": self.cmd_bus_cycles,
             "data_bus_cycles": self.data_bus_cycles,
@@ -276,8 +286,9 @@ class Channel:
     def load_state_dict(self, state: dict) -> None:
         self._last_cmd_cycle = state["last_cmd_cycle"]
         self.data_busy_until = state["data_busy_until"]
-        self._last_data_rank = state["last_data_rank"]
+        self.last_data_rank = state["last_data_rank"]
         self._last_data_is_read = state["last_data_is_read"]
+        self._publish_bus()
         self.cmd_bus_cycles = state["cmd_bus_cycles"]
         self.data_bus_cycles = state["data_bus_cycles"]
         for rank, payload in zip(self.ranks, state["ranks"]):
@@ -333,8 +344,9 @@ class Channel:
             cycle, bank, row, is_read, auto_precharge
         )
         self.data_busy_until = data_end
-        self._last_data_rank = rank
+        self.last_data_rank = rank
         self._last_data_is_read = is_read
+        self._publish_bus()
         self.data_bus_cycles += self.timing.data_cycles
         if self._listeners:
             latency = self.timing.tCL if is_read else self.timing.tCWL

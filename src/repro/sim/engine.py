@@ -184,6 +184,8 @@ class FleetDriver(OpenLoopDriver):
         self._staged_lanes = {source: deque() for source in self._lanes}
         self.completed: List[MemoryAccess] = []
         self.issued = 0
+        #: Requests in the stream; every one is accepted exactly once.
+        self._total = sum(len(lane) for lane in self._lanes.values())
 
     def _next_arrival(self) -> int:
         wake = NEVER
@@ -215,11 +217,7 @@ class FleetDriver(OpenLoopDriver):
 
     @property
     def done(self) -> bool:
-        return (
-            all(not lane for lane in self._lanes.values())
-            and all(not lane for lane in self._staged_lanes.values())
-            and self.system.idle
-        )
+        return self.issued == self._total and self.system.idle
 
     def state_dict(self, ctx) -> dict:
         return {
@@ -248,6 +246,10 @@ class FleetDriver(OpenLoopDriver):
             self._staged_lanes[source] = deque(ctx.get(r) for r in staged)
         self.completed = []
         self.issued = state["issued"]
+        self._total = self.issued + sum(
+            len(self._lanes[s]) + len(self._staged_lanes[s])
+            for s in self._lanes
+        )
 
 
 def run_fleet_requests(

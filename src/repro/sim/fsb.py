@@ -24,7 +24,7 @@ from __future__ import annotations
 import heapq
 from typing import List, Tuple
 
-from repro.controller.access import AccessType, EnqueueStatus, MemoryAccess
+from repro.controller.access import EnqueueStatus, MemoryAccess
 from repro.controller.system import MemorySystem
 from repro.errors import ConfigError
 
@@ -86,7 +86,7 @@ class FSBAdapter:
             return status
         occupancy = (
             self.transfer_cycles
-            if access.type is AccessType.WRITE
+            if not access.is_read
             else 1
         )
         self._request_busy_until = cycle + occupancy

@@ -60,7 +60,8 @@ class SimProfiler:
         #: to decide — see Scheduler._gate_until).
         self.gated_passes = 0
         #: Flat-path pass-cost breakdown (DESIGN.md §11): candidates
-        #: examined across all schedule passes, how many needed a
+        #: examined by ``Scheduler._flat_scan`` across all schedule
+        #: passes (every slot of its mask), how many needed a
         #: device-timing recomputation (``sched_timing_checks`` —
         #: the owning bank/rank version stamp had moved) and how many
         #: short-circuited on the cached value

@@ -38,6 +38,51 @@ def test_read_write_predicates():
     assert _access(AccessType.WRITE).is_write
 
 
+#: The slot set at which peak memory is budgeted; an access is created
+#: per request, so a new slot is paid hundreds of thousands of times.
+ACCESS_SLOTS = 17
+
+
+def test_access_slots_do_not_grow():
+    assert len(MemoryAccess.__slots__) == ACCESS_SLOTS
+    assert not hasattr(_access(), "__dict__")
+
+
+@pytest.mark.parametrize("op", [AccessType.READ, AccessType.WRITE])
+def test_access_state_bytes_and_round_trip(op):
+    """``to_state`` keeps its exact dict; ``from_state`` restores the
+    stored direction bit and both derived views of it."""
+    access = _access(op, address=0x2040, arrival=7)
+    access.start_cycle = 9
+    access.complete_cycle = 30
+    state = access.to_state()
+    expected = {
+        "id": access.id,
+        "type": "read" if op is AccessType.READ else "write",
+        "address": 0x2040,
+        "channel": 0,
+        "rank": 1,
+        "bank": 2,
+        "row": 3,
+        "column": 4,
+        "subarray": 0,
+        "arrival": 7,
+        "start_cycle": 9,
+        "complete_cycle": 30,
+        "row_state": None,
+        "forwarded": False,
+        "preempted": False,
+        "piggybacked": False,
+        "source": 0,
+    }
+    assert list(state.items()) == list(expected.items())  # order too
+    restored = MemoryAccess.from_state(state)
+    assert restored.type is op
+    assert restored.is_read is (op is AccessType.READ)
+    assert restored.is_write is (op is AccessType.WRITE)
+    assert restored.to_state() == state
+
+
 def test_pool_capacity_limits():
     pool = AccessPool(capacity=3, write_capacity=1)
     r1, r2 = _access(), _access()

@@ -1,10 +1,12 @@
 """Unit tests for the channel: buses, turnaround, classification."""
 
+import json
+
 import pytest
 
 from repro.dram.channel import Channel, RowState
 from repro.dram.commands import Command, CommandType
-from repro.dram.timing import DDR2_800
+from repro.dram.timing import DDR2_800, DDR5_4800
 from repro.errors import ProtocolError
 
 T = DDR2_800
@@ -118,3 +120,67 @@ def test_utilization_counters(channel):
 def test_iter_banks_covers_topology(channel):
     keys = [(r, b) for r, b, _ in channel.iter_banks()]
     assert keys == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+# ----------------------------------------------------------------------
+# Directed: the published data-bus table
+# ----------------------------------------------------------------------
+
+
+def _bus_reference(timing, busy, last_rank, last_read, rank, is_read):
+    """The turnaround rule restated: CAS latency, 1-cycle direction
+    switch within a rank, tRTRS on a rank switch."""
+    latency = timing.tCL if is_read else timing.tCWL
+    if last_rank is None:
+        gap = 0
+    elif last_rank != rank:
+        gap = timing.tRTRS
+    elif bool(last_read) != bool(is_read):
+        gap = 1
+    else:
+        gap = 0
+    return busy + gap - latency
+
+
+def _bus_channel(timing, previous):
+    """A 2-rank channel whose last burst is ``previous`` (or none)."""
+    channel = Channel(timing, index=0, ranks=2, banks=8)
+    if previous is None:
+        return channel, 0
+    rank, is_read = previous
+    channel.issue_activate(0, rank, 0, 3)
+    cycle = channel.next_column_at(rank, 0, 3, is_read)
+    busy = channel.issue_column(cycle, rank, 0, 3, is_read)
+    assert channel.data_busy_until == busy
+    return channel, busy
+
+
+@pytest.mark.parametrize(
+    "timing", [DDR2_800, DDR5_4800], ids=["DDR2-800", "DDR5-4800"]
+)
+@pytest.mark.parametrize(
+    "previous",
+    [None, (0, True), (0, False), (1, True), (1, False)],
+    ids=["none", "r0-read", "r0-write", "r1-read", "r1-write"],
+)
+def test_bus_table_matches_turnaround_rule(timing, previous):
+    """``data_bus_ready`` is a lookup in the table the channel publishes
+    on every column issue and on load; it must equal the turnaround
+    rule for every candidate rank and direction, ``is_read`` as bool or
+    0/1, before and after a checkpoint round trip."""
+    channel, busy = _bus_channel(timing, previous)
+    last_rank, last_read = previous if previous else (None, None)
+    state = json.loads(json.dumps(channel.state_dict()))
+    restored = Channel(timing, index=0, ranks=2, banks=8)
+    restored.load_state_dict(state)
+    for ch in (channel, restored):
+        for rank in (0, 1):
+            for is_read in (True, False, 1, 0):
+                assert ch.data_bus_ready(rank, is_read) == _bus_reference(
+                    timing, busy, last_rank, last_read, rank, is_read
+                ), (rank, is_read)
+    # The table is rebuilt on load, never serialized.
+    assert set(state) == {
+        "last_cmd_cycle", "data_busy_until", "last_data_rank",
+        "last_data_is_read", "cmd_bus_cycles", "data_bus_cycles", "ranks",
+    }

@@ -268,7 +268,16 @@ def test_refresh_pending_flip_invalidates_cached_activate():
 
     flat = sched._flat
     slot = access.rank * sched._bpr + access.bank
-    t0 = sched._flat_earliest(flat, slot, access, 0)
+
+    def earliest():
+        """The one-slot scan's earliest cycle for ``slot``."""
+        col, ovh, wake = sched._flat_scan(flat, 1 << slot, 0)
+        assert not col  # an ACTIVATE is never a column candidate
+        t = 0 if ovh else wake
+        assert flat.ready[slot] == t
+        return t
+
+    t0 = earliest()
     assert flat.kind[slot] == KIND_ACTIVATE
     assert t0 < NEVER
     assert (t0 <= 0) == sched.can_issue_access(access, 0)
@@ -277,12 +286,12 @@ def test_refresh_pending_flip_invalidates_cached_activate():
     # Exactly what RefreshController.tick does at the due cycle.
     rank.refresh_pending = True
     rank.ver += 1
-    assert sched._flat_earliest(flat, slot, access, 0) == NEVER
+    assert earliest() == NEVER
     assert not sched.can_issue_access(access, 0)
 
     rank.refresh_pending = False
     rank.ver += 1
-    assert sched._flat_earliest(flat, slot, access, 0) == t0
+    assert earliest() == t0
     assert (t0 <= 0) == sched.can_issue_access(access, 0)
 
 

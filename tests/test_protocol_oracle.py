@@ -236,9 +236,9 @@ class _TRPSkippingScheduler(BkInOrderScheduler):
     makes the device model accept activates immediately after a
     precharge — exactly the class of model bug the independent oracle
     exists to catch.  Both readiness hooks are broken the same way: the
-    schedule pass asks the flat-array cache ``_flat_earliest`` — whose
-    stamp cache must also be broken through, or it would serve the
-    pre-mutation timing — and ``earliest_issue_cycle`` (behind
+    schedule pass asks the flat-array scan ``_flat_scan`` — broken for
+    every slot it evaluates, stamp cache included, or it would serve
+    the pre-mutation timing — and ``earliest_issue_cycle`` (behind
     ``can_issue_access``) backs conservative wakeups.
     """
 
@@ -253,10 +253,15 @@ class _TRPSkippingScheduler(BkInOrderScheduler):
         self._forget_trp(access)
         return super().earliest_issue_cycle(access, cycle)
 
-    def _flat_earliest(self, flat, i, access, cycle):
-        self._forget_trp(access)
-        flat.bstamp[i] = -1  # defeat the stamp cache: recompute now
-        return super()._flat_earliest(flat, i, access, cycle)
+    def _flat_scan(self, flat, mask, cycle):
+        m = mask
+        while m:
+            b = m & -m
+            m ^= b
+            i = b.bit_length() - 1
+            self._forget_trp(flat.acc[i])
+            flat.bstamp[i] = -1  # defeat the stamp cache: recompute now
+        return super()._flat_scan(flat, mask, cycle)
 
 
 def test_oracle_catches_broken_scheduler(small_config):
